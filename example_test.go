@@ -237,12 +237,16 @@ func ExampleParseEngine() {
 }
 
 // ExampleValidateOptions pre-validates options without running a solve —
-// the server uses it to reject doomed async submissions up front.
+// the server uses it to reject doomed submissions up front and keys its
+// result cache on the normalized options it returns.
 func ExampleValidateOptions() {
-	err := duedate.ValidateOptions(duedate.Options{Grid: -1})
+	_, err := duedate.ValidateOptions(duedate.Options{Grid: -1})
 	fmt.Println(err != nil)
+	opts, _ := duedate.ValidateOptions(duedate.Options{})
+	fmt.Println(opts.Grid, opts.Block, opts.Seed)
 	// Output:
 	// true
+	// 4 192 1
 }
 
 // ExamplePairings enumerates the live algorithm×engine registry (sorted,

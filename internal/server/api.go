@@ -64,8 +64,8 @@ type SolveRequest struct {
 
 // applyDefaults resolves the request's absent algorithm to the server's
 // configured default. Every decode path calls it exactly once before
-// options(), cacheKey() or the job store run, so those always see a
-// concrete selection.
+// options() or the job store run, so those always see a concrete
+// selection.
 func (r *SolveRequest) applyDefaults(def duedate.Algorithm) {
 	if r.Algorithm == nil {
 		a := def
@@ -92,15 +92,18 @@ func (r *SolveRequest) options() duedate.Options {
 }
 
 // cacheKey derives the result-cache key: the instance's canonical hash
-// plus every option that participates in the solve trajectory. Workers
-// is deliberately excluded — fixed-seed results are bit-identical across
+// plus every option that participates in the solve trajectory, taken
+// from the normalised options duedate.ValidateOptions returns. Requests
+// that spell one trajectory differently — seed 0 and 1, grid 0 and 4,
+// AUTO on any engine — therefore share one entry. Workers is
+// deliberately excluded — fixed-seed results are bit-identical across
 // worker counts (pinned by the engine-layer tests) — as is the metrics
 // level, which never perturbs a trajectory.
-func (r *SolveRequest) cacheKey() string {
-	return fmt.Sprintf("%s|%s|%s|it=%d|g=%d|b=%d|seed=%d|mu=%g|pert=%d|ts=%d|pers=%t",
-		r.Instance.CanonicalHash(), *r.Algorithm, r.Engine,
-		r.Iterations, r.Grid, r.Block, r.Seed,
-		r.Cooling, r.Pert, r.TempSamples, r.Persistent)
+func cacheKey(in *problem.Instance, opts duedate.Options) []byte {
+	return fmt.Appendf(nil, "%s|%s|%s|it=%d|g=%d|b=%d|seed=%d|mu=%g|pert=%d|ts=%d|pers=%t",
+		in.CanonicalHash(), opts.Algorithm, opts.Engine,
+		opts.Iterations, opts.Grid, opts.Block, opts.Seed,
+		opts.Cooling, opts.Pert, opts.TempSamples, opts.Persistent)
 }
 
 // SolveResponse is the wire form of one solve outcome. For identical
@@ -160,21 +163,20 @@ type SolveResponse struct {
 	Cached bool `json:"cached"`
 }
 
-// buildResponse assembles the response for a completed solve.
+// buildResponse assembles the response for a completed solve under the
+// normalised opts. It echoes the algorithm and engine the request sent
+// (normalisation folds AUTO's engine onto its registry key) and the
+// normalised seed.
 func buildResponse(req *SolveRequest, opts duedate.Options, res duedate.Result) *SolveResponse {
 	sched := res.Schedule(req.Instance)
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1 // the facade's documented Seed-0 sentinel
-	}
 	resp := &SolveResponse{
 		Instance:      req.Instance.Name,
 		Kind:          req.Instance.Kind.String(),
 		N:             req.Instance.N(),
 		InstanceHash:  req.Instance.CanonicalHash(),
-		Algorithm:     opts.Algorithm,
-		Engine:        opts.Engine,
-		Seed:          seed,
+		Algorithm:     *req.Algorithm,
+		Engine:        req.Engine,
+		Seed:          opts.Seed,
 		Iterations:    res.Iterations,
 		Cost:          res.BestCost,
 		Sequence:      res.BestSeq,

@@ -49,16 +49,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.applyDefaults(s.cfg.DefaultAlgorithm)
-	key := req.cacheKey()
-	opts := req.options()
 	// A doomed submission is rejected here with the same (status, code)
 	// the synchronous path answers, instead of a 202 whose poll later
 	// reveals a failed job.
-	if err := duedate.ValidateOptions(opts); err != nil {
+	opts, err := duedate.ValidateOptions(req.options())
+	if err != nil {
 		status, code := errorCode(err)
 		writeError(w, status, code, "%v", err)
 		return
 	}
+	key := cacheKey(req.Instance, opts)
 	if s.draining.Load() {
 		s.writeBackpressure(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return
@@ -70,14 +70,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	// A result-cache hit completes the job without touching the pool —
 	// the same answer the synchronous path would have served.
-	if !req.NoCache {
-		if resp, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			s.jobs.finishDone(j, resp)
-			s.writeJobSubmitted(w, j)
-			return
-		}
-		s.stats.cacheMiss.Add(1)
+	if resp, ok := s.cachedFor(req, key); ok {
+		s.jobs.finishDone(j, resp)
+		s.writeJobSubmitted(w, j)
+		return
 	}
 
 	opts.Progress = func(snap duedate.Snapshot) { s.jobs.publish(j, snap) }

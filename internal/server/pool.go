@@ -14,12 +14,12 @@ type task struct {
 	// worker solves under it so abandoned requests stop consuming the
 	// pool at the engine's next cooperative boundary.
 	ctx context.Context
-	// req is the decoded request, opts its facade translation with the
-	// admission-time deadline already stamped.
+	// req is the decoded request, opts its normalised facade translation
+	// with the admission-time deadline already stamped.
 	req  *SolveRequest
 	opts duedate.Options
 	// key is the result-cache key.
-	key string
+	key []byte
 	// job is non-nil for async (/v1/jobs) tasks: the worker publishes
 	// the outcome into the job store instead of the done channel, and
 	// recycles the task itself.
@@ -66,28 +66,32 @@ func (s *Server) worker() {
 	}
 }
 
-// runTask executes one solve and answers the task's done channel (or,
-// for async tasks, the job store).
+// runTask is the one worker path of sync and async tasks: the context
+// check, the solve, observation, the response and the cache put, ending
+// in the task's completion step.
 func (s *Server) runTask(t *task) {
-	if t.job != nil {
-		s.runJobTask(t)
-		return
-	}
 	s.stats.active.Add(1)
 	defer s.stats.active.Add(-1)
 	defer s.stats.completed.Add(1)
 
-	// A client that disconnected while the task was queued: don't burn a
-	// pool slot on an answer nobody reads.
+	// A job cancelled while queued is already terminal, and a client
+	// that disconnected while queued reads no answer: don't burn a pool
+	// slot on either.
+	if t.job != nil && !s.jobs.tryRun(t.job) {
+		putTask(t)
+		return
+	}
 	if err := t.ctx.Err(); err != nil {
-		t.done <- taskResult{err: err}
+		s.complete(t, nil, err)
 		return
 	}
 	start := time.Now()
 	res, err := s.solve(t.ctx, t.req.Instance, t.opts)
 	if err != nil {
-		s.stats.errors.Add(1)
-		t.done <- taskResult{err: err}
+		if t.ctx.Err() == nil {
+			s.stats.errors.Add(1)
+		}
+		s.complete(t, nil, err)
 		return
 	}
 	s.observeSolve(time.Since(start))
@@ -98,50 +102,32 @@ func (s *Server) runTask(t *task) {
 	if !resp.Interrupted {
 		s.cache.put(t.key, resp)
 	}
-	t.done <- taskResult{resp: resp}
+	s.complete(t, resp, nil)
 }
 
-// runJobTask executes one async job's solve and publishes the outcome
-// into the job store. The worker owns the task and its request here —
-// the submitting handler returned its 202 long ago — so both are
-// recycled/released on return.
-func (s *Server) runJobTask(t *task) {
+// complete is a task's completion step. A sync task's handler receives
+// the outcome on the done channel and recycles the task. An async task's
+// outcome goes to the job store — cancelled when DELETE or the drain
+// grace cancelled its context (with the honest best-so-far when the
+// solve ran), failed on a solve error, done otherwise — and the worker
+// recycles the task, since the submitting handler returned its 202 long
+// ago.
+func (s *Server) complete(t *task, resp *SolveResponse, err error) {
 	j := t.job
-	defer putTask(t)
-	s.stats.active.Add(1)
-	defer s.stats.active.Add(-1)
-	defer s.stats.completed.Add(1)
-
-	if !s.jobs.tryRun(j) {
-		return // cancelled while queued; already terminal
+	if j == nil {
+		t.done <- taskResult{resp: resp, err: err}
+		return
 	}
-	start := time.Now()
-	res, err := s.solve(t.ctx, t.req.Instance, t.opts)
-	if err != nil {
-		if t.ctx.Err() != nil {
-			// The solve surfaced the cancellation as an error (a stub or
-			// a pre-start cancel); the job is cancelled, not failed.
-			s.jobs.finishCancelled(j, nil)
-			return
-		}
-		s.stats.errors.Add(1)
+	defer putTask(t)
+	switch {
+	case t.ctx.Err() != nil:
+		s.jobs.finishCancelled(j, resp)
+	case err != nil:
 		status, code := errorCode(err)
 		s.jobs.finishFailed(j, status, code, err.Error())
-		return
+	default:
+		s.jobs.finishDone(j, resp)
 	}
-	s.observeSolve(time.Since(start))
-	s.registry.Observe(res.Metrics)
-	resp := buildResponse(t.req, t.opts, res)
-	if t.ctx.Err() != nil {
-		// DELETE or the drain grace stopped the engine: the honest
-		// best-so-far, never cached.
-		s.jobs.finishCancelled(j, resp)
-		return
-	}
-	if !resp.Interrupted {
-		s.cache.put(t.key, resp)
-	}
-	s.jobs.finishDone(j, resp)
 }
 
 // observeSolve accumulates completed-solve wall time; the mean feeds

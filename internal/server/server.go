@@ -13,10 +13,10 @@
 // engines via core.Budget — an expired deadline returns the valid
 // best-so-far with interrupted=true, never an error. Completed
 // full-budget results enter an LRU cache keyed by (canonical instance
-// hash, algorithm, engine, seed, iterations, geometry, SA knobs), so
-// identical resubmissions are answered without a solve. Solve responses
-// are bit-identical to a direct duedate.SolveContext call with the same
-// options.
+// hash, algorithm, engine, seed, iterations, geometry, SA knobs) after
+// option normalisation, so identical resubmissions are answered without
+// a solve. Solve responses are bit-identical to a direct
+// duedate.SolveContext call with the same options.
 //
 // Long solves do not need to hold a connection open: the async job API
 // admits the same SolveRequest onto the same pool and answers 202 with
@@ -177,8 +177,8 @@ type Server struct {
 	workers  sync.WaitGroup
 	closeMu  sync.RWMutex
 	draining atomic.Bool
-	cache    *resultCache
-	wire     *wireCache
+	cache    *lru[*SolveResponse]
+	wire     *lru[[]byte]
 	registry *obs.Registry
 	jobs     *jobStore
 	gauges   *obs.GaugeSet
@@ -195,8 +195,8 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		queue:    make(chan *task, cfg.QueueDepth),
-		cache:    newResultCache(cfg.CacheSize),
-		wire:     newWireCache(cfg.CacheSize),
+		cache:    newLRU[*SolveResponse](cfg.CacheSize),
+		wire:     newLRU[[]byte](cfg.CacheSize),
 		registry: &obs.Registry{},
 		jobs:     newJobStore(cfg.Jobs, cfg.JobTTL, gauges),
 		gauges:   gauges,
@@ -325,15 +325,17 @@ func decodeErrorCode(err error) (int, string) {
 // error). It is the shared core of the solve and batch handlers.
 func (s *Server) solveOne(ctx context.Context, req *SolveRequest) (*SolveResponse, int, string, error) {
 	req.applyDefaults(s.cfg.DefaultAlgorithm)
-	key := req.cacheKey()
-	if !req.NoCache {
-		if resp, ok := s.cache.get(key); ok {
-			s.stats.cacheHits.Add(1)
-			return resp, http.StatusOK, "", nil
-		}
-		s.stats.cacheMiss.Add(1)
+	// A doomed request fails here, before it costs a queue slot, with
+	// the (status, code) the solve itself would have returned.
+	opts, err := duedate.ValidateOptions(req.options())
+	if err != nil {
+		status, code := errorCode(err)
+		return nil, status, code, err
 	}
-	opts := req.options()
+	key := cacheKey(req.Instance, opts)
+	if resp, ok := s.cachedFor(req, key); ok {
+		return resp, http.StatusOK, "", nil
+	}
 	opts.Metrics = s.cfg.Metrics
 	opts.Deadline = s.deadlineFor(req)
 	t := getTask()
@@ -357,6 +359,30 @@ func (s *Server) solveOne(ctx context.Context, req *SolveRequest) (*SolveRespons
 	return res.resp, http.StatusOK, "", nil
 }
 
+// cachedFor is the one result-cache lookup of every endpoint. Unless
+// req opts out with noCache, it counts a hit or miss and, on a hit,
+// answers req with a copy of the stored response marked cached. The
+// copy echoes req's own instance name, algorithm and engine: the key
+// excludes the name and is built from normalised options, so the
+// stored response may have answered a differently spelled request.
+func (s *Server) cachedFor(req *SolveRequest, key []byte) (*SolveResponse, bool) {
+	if req.NoCache {
+		return nil, false
+	}
+	stored, ok := s.cache.get(key)
+	if !ok {
+		s.stats.cacheMiss.Add(1)
+		return nil, false
+	}
+	s.stats.cacheHits.Add(1)
+	resp := *stored
+	resp.Cached = true
+	resp.Instance = req.Instance.Name
+	resp.Algorithm = *req.Algorithm
+	resp.Engine = req.Engine
+	return &resp, true
+}
+
 // handleSolve is POST /v1/solve. The steady-state path is the wire
 // cache: an exact byte-level resubmission is answered from the stored
 // encoding without decoding, solving or re-encoding anything — zero
@@ -375,9 +401,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "bad request: %v", err)
 		return
 	}
-	if body, ok := s.wire.get(buf.b); ok {
-		s.stats.cacheHits.Add(1)
-		writeRaw(w, http.StatusOK, body)
+	if s.wireHit(w, buf.b) {
 		return
 	}
 	req := solveReqPool.Get().(*SolveRequest)
@@ -399,8 +423,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 	// Only complete, cache-eligible answers enter the wire layer — the
 	// same rule the result cache applies, so the two can never disagree.
-	if status == http.StatusOK && !resp.Interrupted && !req.NoCache {
-		s.wire.put(buf.b, encodeCachedResponse(resp))
+	// The stored form is the one its future hits are served as.
+	if !resp.Interrupted && !req.NoCache {
+		cached := *resp
+		cached.Cached = true
+		s.wirePut(buf.b, &cached)
 	}
 }
 
@@ -419,9 +446,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "bad request: %v", err)
 		return
 	}
-	if body, ok := s.wire.get(buf.b); ok {
-		s.stats.cacheHits.Add(1)
-		writeRaw(w, http.StatusOK, body)
+	if s.wireHit(w, buf.b) {
 		return
 	}
 	batch := getBatchRequest()
@@ -482,7 +507,7 @@ func (s *Server) wirePutBatch(body []byte, batch *BatchRequest, results []BatchR
 		c.Cached = true
 		cached[i] = BatchResult{Response: &c, Status: results[i].Status}
 	}
-	s.wire.put(body, encodeJSON(BatchResponse{Results: cached}))
+	s.wirePut(body, BatchResponse{Results: cached})
 }
 
 // handlePairings is GET /v1/pairings: the live registry with each

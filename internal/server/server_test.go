@@ -262,6 +262,87 @@ func TestResultCacheHitAndMiss(t *testing.T) {
 	}
 }
 
+// TestCacheHitEchoesRequestName pins the per-request echo of a cache
+// hit: the canonical hash excludes the instance name, so a renamed
+// resubmission is a hit, but its answer (and the wire entry stored under
+// its bytes) must carry its own name, not the first requester's.
+func TestCacheHitEchoesRequestName(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: 1})
+	named := func(name string) SolveRequest {
+		in := duedate.PaperExample(duedate.CDD)
+		in.Name = name
+		return SolveRequest{
+			Instance: in, Algorithm: algp(duedate.SA), Engine: duedate.EngineCPUSerial,
+			Iterations: 40, Grid: 1, Block: 4, Seed: 9, TempSamples: 50,
+		}
+	}
+	var first SolveResponse
+	_, body := postJSON(t, ts.URL+"/v1/solve", named("first"))
+	decodeInto(t, body, &first)
+	// The second post is a result-cache hit, the third a wire hit.
+	for i := 0; i < 2; i++ {
+		var second SolveResponse
+		status, body := postJSON(t, ts.URL+"/v1/solve", named("second"))
+		if status != http.StatusOK {
+			t.Fatalf("renamed resubmission: %d %s", status, body)
+		}
+		decodeInto(t, body, &second)
+		if !second.Cached || second.Instance != "second" || second.Cost != first.Cost {
+			t.Errorf("post %d: instance %q cached %t cost %d (want \"second\", true, %d)",
+				i+2, second.Instance, second.Cached, second.Cost, first.Cost)
+		}
+	}
+}
+
+// TestCacheKeyNormalisedOptions pins the cache key to the normalised
+// options: requests that spell one trajectory differently share an
+// entry, and each hit echoes the algorithm and engine it was sent.
+func TestCacheKeyNormalisedOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: 1})
+	// req is the small fixed request with seed and one edit applied.
+	req := func(seed uint64, edit func(*SolveRequest)) SolveRequest {
+		r := SolveRequest{
+			Instance: duedate.PaperExample(duedate.CDD), Algorithm: algp(duedate.SA),
+			Engine: duedate.EngineCPUSerial, Iterations: 40, Grid: 1, Block: 4, Seed: seed, TempSamples: 50,
+		}
+		edit(&r)
+		return r
+	}
+	keep := func(*SolveRequest) {}
+	cases := []struct {
+		name          string
+		first, second SolveRequest
+	}{
+		{"seed-0-vs-1", req(0, keep), req(1, keep)},
+		{"grid-0-vs-4", req(5, func(r *SolveRequest) { r.Grid = 0 }), req(5, func(r *SolveRequest) { r.Grid = 4 })},
+		{"block-0-vs-192", req(6, func(r *SolveRequest) { r.Block = 0 }), req(6, func(r *SolveRequest) { r.Block = 192 })},
+		{"auto-any-engine",
+			req(7, func(r *SolveRequest) { r.Algorithm, r.Engine = algp(duedate.Auto), duedate.EngineGPU }),
+			req(7, func(r *SolveRequest) { r.Algorithm = algp(duedate.Auto) })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var first, second SolveResponse
+			_, body := postJSON(t, ts.URL+"/v1/solve", tc.first)
+			decodeInto(t, body, &first)
+			status, body := postJSON(t, ts.URL+"/v1/solve", tc.second)
+			if status != http.StatusOK {
+				t.Fatalf("second request: %d %s", status, body)
+			}
+			decodeInto(t, body, &second)
+			if first.Cached || !second.Cached || second.Cost != first.Cost {
+				t.Errorf("cached %t then %t, cost %d then %d (want a hit with the same cost)",
+					first.Cached, second.Cached, first.Cost, second.Cost)
+			}
+			if first.Algorithm != *tc.first.Algorithm || first.Engine != tc.first.Engine ||
+				second.Algorithm != *tc.second.Algorithm || second.Engine != tc.second.Engine {
+				t.Errorf("echoed %v/%v then %v/%v (want each request's own selection)",
+					first.Algorithm, first.Engine, second.Algorithm, second.Engine)
+			}
+		})
+	}
+}
+
 // TestDeadlineExpiredReturnsInterrupted sends a request whose budget
 // cannot complete within its deadline and requires a 200 with the valid
 // best-so-far marked interrupted — and that the partial result is not
@@ -719,32 +800,50 @@ func TestRunServesAndDrainsOnContextCancel(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction pins the bound: capacity 2 must evict the least
-// recently used key.
+// TestCacheLRUEviction pins the bound on the result cache: capacity 2
+// must evict the least recently used key, and interrupted responses
+// never enter it.
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	put := func(k string) { c.put(k, &SolveResponse{Instance: k}) }
+	s := New(Config{Pool: 1, CacheSize: 2})
+	defer s.Drain(context.Background())
+	put := func(k string) { s.cache.put([]byte(k), &SolveResponse{Instance: k}) }
 	put("a")
 	put("b")
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
+	if _, ok := s.cache.get([]byte("a")); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
 	put("c") // evicts b
-	if _, ok := c.get("b"); ok {
+	if _, ok := s.cache.get([]byte("b")); ok {
 		t.Error("b survived past capacity")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := s.cache.get([]byte(k)); !ok {
 			t.Errorf("%s evicted wrongly", k)
 		}
 	}
-	if c.len() != 2 {
-		t.Errorf("len %d, want 2", c.len())
+	if s.cache.len() != 2 {
+		t.Errorf("len %d, want 2", s.cache.len())
 	}
-	// Interrupted responses never enter.
-	c.put("d", &SolveResponse{Interrupted: true})
-	if _, ok := c.get("d"); ok {
+	// Interrupted responses never enter; the storage rule lives at the
+	// call site, so run one full and one interrupted task through it.
+	s.solve = func(ctx context.Context, in *problem.Instance, opts duedate.Options) (duedate.Result, error) {
+		return duedate.Result{BestSeq: problem.IdentitySequence(in.N()), BestCost: 1, Interrupted: opts.Seed == 2}, nil
+	}
+	for _, seed := range []uint64{1, 2} {
+		req := &SolveRequest{Instance: duedate.PaperExample(duedate.CDD), Algorithm: algp(duedate.SA), Seed: seed}
+		tk := getTask()
+		tk.ctx, tk.req, tk.opts, tk.key = context.Background(), req, req.options(), []byte(fmt.Sprint("seed", seed))
+		s.runTask(tk)
+		if res := <-tk.done; res.err != nil || res.resp.Interrupted != (seed == 2) {
+			t.Fatalf("seed %d: %+v", seed, res)
+		}
+		putTask(tk)
+	}
+	if _, ok := s.cache.get([]byte("seed2")); ok {
 		t.Error("interrupted response was cached")
+	}
+	if _, ok := s.cache.get([]byte("seed1")); !ok {
+		t.Error("full-budget response was not cached")
 	}
 }
 

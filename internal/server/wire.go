@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/json"
 	"errors"
 	"io"
@@ -27,82 +26,35 @@ import (
 // their key and body copies and are immutable once stored.
 
 // wireMaxKeyBytes bounds the request bodies the wire cache will index;
-// larger bodies (huge batches) skip the wire layer and take the normal
-// decode path, keeping the cache's memory footprint proportional to its
-// entry bound.
+// larger bodies (huge batches) skip the wire layer in both directions
+// and take the normal decode path, keeping the cache's memory footprint
+// proportional to its entry bound.
 const wireMaxKeyBytes = 64 << 10
 
-// wireCache is a mutex-guarded LRU from raw request-body bytes to the
-// encoded response body previously produced for them. It is a pure
-// bytes-in/bytes-out layer above the result cache: entries are only
-// stored for complete (status-200, uninterrupted, cache-eligible)
-// responses, and deterministic solves guarantee a stored body never goes
-// stale.
-type wireCache struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recently used; values are *wireEntry
-	items map[string]*list.Element
-}
-
-// wireEntry is one cached wire body with its key (needed for eviction).
-type wireEntry struct {
-	key  string
-	body []byte
-}
-
-// newWireCache returns a cache bounded to max entries; max <= 0 disables
-// the wire layer (get always misses, put is a no-op).
-func newWireCache(max int) *wireCache {
-	return &wireCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the stored response body for the raw request bytes. The
-// string(key) conversion in the map probe does not allocate (the
-// compiler recognizes the lookup pattern), so a hit costs zero
-// allocations. The returned bytes are immutable.
-func (c *wireCache) get(key []byte) ([]byte, bool) {
-	if c.max <= 0 || len(key) > wireMaxKeyBytes {
-		return nil, false
+// wireHit answers the request from the wire cache when its exact bytes
+// were answered before, writing the stored body and counting a cache
+// hit. The wire cache only holds complete (status-200, uninterrupted,
+// cache-eligible) responses, and deterministic solves guarantee a
+// stored body never goes stale.
+func (s *Server) wireHit(w http.ResponseWriter, body []byte) bool {
+	if len(body) > wireMaxKeyBytes {
+		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[string(key)]
+	enc, ok := s.wire.get(body)
 	if !ok {
-		return nil, false
+		return false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*wireEntry).body, true
+	s.stats.cacheHits.Add(1)
+	writeRaw(w, http.StatusOK, enc)
+	return true
 }
 
-// put stores body under a copy of the raw request bytes, evicting the
-// least recently used entry past capacity. The cache takes ownership of
-// body; callers must pass a fresh encoding.
-func (c *wireCache) put(key, body []byte) {
-	if c.max <= 0 || len(key) > wireMaxKeyBytes {
-		return
+// wirePut stores v, encoded exactly as writeJSON renders it, under the
+// raw request bytes. Oversize bodies are neither encoded nor stored.
+func (s *Server) wirePut(body []byte, v any) {
+	if len(body) <= wireMaxKeyBytes {
+		s.wire.put(body, encodeJSON(v))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[string(key)]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*wireEntry).body = body
-		return
-	}
-	k := string(key)
-	c.items[k] = c.order.PushFront(&wireEntry{key: k, body: body})
-	for c.order.Len() > c.max {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.items, last.Value.(*wireEntry).key)
-	}
-}
-
-// len reports the current entry count.
-func (c *wireCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }
 
 // bodyBuf is a pooled request-body buffer.
@@ -209,13 +161,4 @@ func encodeJSON(v any) []byte {
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 	return b.Bytes()
-}
-
-// encodeCachedResponse renders resp as its future cache hits will be
-// served: the cached flag set on a shallow copy (the original — possibly
-// retained by the result cache — is not touched).
-func encodeCachedResponse(resp *SolveResponse) []byte {
-	c := *resp
-	c.Cached = true
-	return encodeJSON(&c)
 }

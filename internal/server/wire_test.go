@@ -20,34 +20,47 @@ func instantSolve(ctx context.Context, in *problem.Instance, opts duedate.Option
 	return duedate.Result{BestSeq: problem.IdentitySequence(in.N()), BestCost: 1, Iterations: opts.Iterations}, nil
 }
 
+// TestWireCacheLRUAndOversize pins the wire cache: capacity 2 evicts the
+// least recently used request bytes, oversize keys bypass it in both
+// directions, and a disabled cache never stores.
 func TestWireCacheLRUAndOversize(t *testing.T) {
-	c := newWireCache(2)
-	c.put([]byte("a"), []byte("ra"))
-	c.put([]byte("b"), []byte("rb"))
-	if got, ok := c.get([]byte("a")); !ok || string(got) != "ra" {
+	s := New(Config{Pool: 1, CacheSize: 2})
+	defer s.Drain(context.Background())
+	s.wire.put([]byte("a"), []byte("ra"))
+	s.wire.put([]byte("b"), []byte("rb"))
+	if got, ok := s.wire.get([]byte("a")); !ok || string(got) != "ra" {
 		t.Fatalf("get a = %q, %v", got, ok)
 	}
 	// "a" is now most recent; inserting "c" must evict "b".
-	c.put([]byte("c"), []byte("rc"))
-	if _, ok := c.get([]byte("b")); ok {
+	s.wire.put([]byte("c"), []byte("rc"))
+	if _, ok := s.wire.get([]byte("b")); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.get([]byte("a")); !ok {
+	if _, ok := s.wire.get([]byte("a")); !ok {
 		t.Error("a was evicted despite being most recently used")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if s.wire.len() != 2 {
+		t.Errorf("len = %d, want 2", s.wire.len())
 	}
 	// Oversize keys bypass the cache in both directions.
 	huge := make([]byte, wireMaxKeyBytes+1)
-	c.put(huge, []byte("r"))
-	if _, ok := c.get(huge); ok {
+	s.wirePut(huge, &SolveResponse{Instance: "x"})
+	if _, ok := s.wire.get(huge); ok {
 		t.Error("oversize key was stored")
 	}
+	s.wire.put(huge, []byte("r")) // behind the call site's back
+	if s.wireHit(httptest.NewRecorder(), huge) {
+		t.Error("oversize key was looked up")
+	}
+	s.wirePut([]byte("small"), &SolveResponse{Instance: "x"})
+	if !s.wireHit(httptest.NewRecorder(), []byte("small")) {
+		t.Error("indexable key missed after wirePut")
+	}
 	// Disabled cache never stores.
-	off := newWireCache(0)
-	off.put([]byte("k"), []byte("v"))
-	if _, ok := off.get([]byte("k")); ok {
+	off := New(Config{Pool: 1, CacheSize: -1})
+	defer off.Drain(context.Background())
+	off.wire.put([]byte("k"), []byte("v"))
+	if _, ok := off.wire.get([]byte("k")); ok {
 		t.Error("disabled wire cache served a hit")
 	}
 }

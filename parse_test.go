@@ -182,18 +182,28 @@ func TestPairingsEnumeratesRegistry(t *testing.T) {
 // ErrInvalidOptions / ErrUnsupportedPairing sentinels otherwise.
 func TestValidateOptions(t *testing.T) {
 	for _, p := range duedate.Pairings() {
-		if err := duedate.ValidateOptions(duedate.Options{Algorithm: p.Algorithm, Engine: p.Engine}); err != nil {
+		if _, err := duedate.ValidateOptions(duedate.Options{Algorithm: p.Algorithm, Engine: p.Engine}); err != nil {
 			t.Errorf("registered pairing %v/%v rejected: %v", p.Algorithm, p.Engine, err)
 		}
 	}
-	if err := duedate.ValidateOptions(duedate.Options{Algorithm: duedate.TA, Engine: duedate.EngineGPU}); !errors.Is(err, duedate.ErrUnsupportedPairing) {
+	if _, err := duedate.ValidateOptions(duedate.Options{Algorithm: duedate.TA, Engine: duedate.EngineGPU}); !errors.Is(err, duedate.ErrUnsupportedPairing) {
 		t.Errorf("TA/gpu: %v (want ErrUnsupportedPairing)", err)
 	}
-	if err := duedate.ValidateOptions(duedate.Options{Grid: -1}); !errors.Is(err, duedate.ErrInvalidOptions) {
+	if _, err := duedate.ValidateOptions(duedate.Options{Grid: -1}); !errors.Is(err, duedate.ErrInvalidOptions) {
 		t.Errorf("negative grid: %v (want ErrInvalidOptions)", err)
 	}
-	if err := duedate.ValidateOptions(duedate.Options{Workers: -3, Engine: duedate.EngineCPUParallel}); !errors.Is(err, duedate.ErrInvalidOptions) {
+	if _, err := duedate.ValidateOptions(duedate.Options{Workers: -3, Engine: duedate.EngineCPUParallel}); !errors.Is(err, duedate.ErrInvalidOptions) {
 		t.Errorf("negative workers: %v (want ErrInvalidOptions)", err)
+	}
+	// The returned options are the normalized ones SolveContext runs.
+	opts, err := duedate.ValidateOptions(duedate.Options{Algorithm: duedate.Auto, Engine: duedate.EngineGPU, Iterations: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := duedate.Options{Algorithm: duedate.Auto, Engine: duedate.EngineCPUParallel, Iterations: 7, Grid: 4, Block: 192, Seed: 1}
+	if opts.Algorithm != want.Algorithm || opts.Engine != want.Engine || opts.Iterations != want.Iterations ||
+		opts.Grid != want.Grid || opts.Block != want.Block || opts.Seed != want.Seed {
+		t.Errorf("normalized options %+v (want %+v)", opts, want)
 	}
 }
 

@@ -274,17 +274,21 @@ func lookupDriver(opts Options) (driverEntry, error) {
 
 // ValidateOptions checks opts exactly the way SolveContext would —
 // option normalization plus the registry pairing lookup — without
-// running a solve. Serving layers use it to reject a doomed submission
-// at admission time (an async job answers its 400/422 at submit instead
-// of surfacing the same error on a later poll); a nil return guarantees
-// SolveContext with these opts will not fail on the options themselves.
-func ValidateOptions(opts Options) error {
+// running a solve, and returns the normalized options: zero Grid, Block
+// and Seed resolved to their defaults and AUTO's engine folded onto its
+// registry key. Solving the normalized options runs the identical
+// trajectory, so serving layers key result caches on them. They also
+// use it to reject a doomed submission at admission time (an async job
+// answers its 400/422 at submit instead of surfacing the same error on a
+// later poll); a nil error guarantees SolveContext with these opts will
+// not fail on the options themselves.
+func ValidateOptions(opts Options) (Options, error) {
 	opts, err := opts.normalized()
 	if err != nil {
-		return err
+		return opts, err
 	}
 	_, err = lookupDriver(opts)
-	return err
+	return opts, err
 }
 
 // registeredEngines renders the engines registered for an algorithm,
