@@ -333,11 +333,11 @@ func batchBenchRows(batch, size int) []int {
 }
 
 // BenchmarkBatchEvaluator times the batch evaluation core on row-major
-// populations: B sequences per CostRows call through the
-// pair-interleaved kernels, reporting ns/seq (per-sequence cost). The
+// populations: B sequences per CostRows call, each row through the
+// kind's single-row core, reporting ns/seq (per-sequence cost). The
 // "single" mode scores the same rows one at a time through the
-// per-sequence Evaluator — the like-for-like baseline the batch modes
-// are judged against. The benchjson post-processor derives the
+// per-sequence Evaluator face — the like-for-like baseline the batch
+// modes are judged against. The benchjson post-processor derives the
 // batch-vs-single speedup from the two.
 func BenchmarkBatchEvaluator(b *testing.B) {
 	const baseRows = 16

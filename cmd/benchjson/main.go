@@ -6,10 +6,13 @@
 //
 // Each benchmark line becomes one record with its iteration count,
 // ns/op, and any additional reported metrics (B/op, allocs/op, custom
-// b.ReportMetric units). Context lines (goos/goarch/pkg/cpu) are captured
-// into the header. When both a full-evaluation benchmark and its Delta
-// counterpart appear (BenchmarkEvaluatorCDD vs BenchmarkEvaluatorCDDDelta
-// at the same size), the speedup ratio is computed into the summary.
+// b.ReportMetric units). Each record carries the package of the most
+// recent "pkg:" line, so input concatenated from several `go test` runs
+// keeps every row attributed to its own package; the remaining context
+// lines (goos/goarch/cpu) are captured into the header. When both a
+// full-evaluation benchmark and its Delta counterpart appear
+// (BenchmarkEvaluatorCDD vs BenchmarkEvaluatorCDDDelta at the same
+// size), the speedup ratio is computed into the summary.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -26,6 +30,7 @@ import (
 // Bench is one parsed benchmark result line.
 type Bench struct {
 	Name       string             `json:"name"`
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -44,27 +49,10 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	flag.Parse()
 
-	doc := Doc{Context: map[string]string{}}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "" || line == "PASS" || strings.HasPrefix(line, "ok "):
-			continue
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseBench(line); ok {
-				doc.Benchmarks = append(doc.Benchmarks, b)
-			}
-		default:
-			if k, v, ok := strings.Cut(line, ":"); ok {
-				doc.Context[strings.TrimSpace(k)] = strings.TrimSpace(v)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	doc, err := parse(os.Stdin)
+	if err != nil {
 		log.Fatal(err)
 	}
-	doc.Speedups = speedups(doc.Benchmarks)
 
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -79,6 +67,42 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), *out)
+}
+
+// parse reads `go test -bench` text and builds the document, stamping
+// each benchmark row with the package of the "pkg:" line preceding it.
+func parse(r io.Reader) (Doc, error) {
+	doc := Doc{Context: map[string]string{}}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case line == "" || line == "PASS" || strings.HasPrefix(line, "ok "):
+			continue
+		case strings.HasPrefix(line, "Benchmark"):
+			if b, ok := parseBench(line); ok {
+				b.Pkg = pkg
+				doc.Benchmarks = append(doc.Benchmarks, b)
+			}
+		default:
+			k, v, ok := strings.Cut(line, ":")
+			if !ok {
+				continue
+			}
+			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+			if k == "pkg" {
+				pkg = v
+				continue
+			}
+			doc.Context[k] = v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Doc{}, err
+	}
+	doc.Speedups = speedups(doc.Benchmarks)
+	return doc, nil
 }
 
 // parseBench parses one result line:

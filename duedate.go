@@ -89,10 +89,11 @@ type Snapshot = core.Snapshot
 type ProgressFunc = core.ProgressFunc
 
 // BatchEvaluator scores batches of candidate sequences against one
-// instance through the structure-of-arrays batch kernels, with costs
-// bit-identical to Cost on each row. It carries scratch buffers and is
-// not safe for concurrent use; create one per goroutine (the SoA
-// snapshot behind it can be shared via the internal/core API).
+// instance over a structure-of-arrays snapshot, each row through the
+// kind's exact single-row core, so costs are bit-identical to Cost on
+// each row. It carries scratch buffers and is not safe for concurrent
+// use; create one per goroutine (the SoA snapshot behind it can be
+// shared via the internal/core API).
 type BatchEvaluator = core.BatchEvaluator
 
 // NewBatchEvaluator snapshots the instance into structure-of-arrays form

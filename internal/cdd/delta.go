@@ -148,9 +148,6 @@ func NewDelta[S Index](p, alpha, beta []int64, d int64) *Delta[S] {
 	return dl
 }
 
-// N returns the sequence length the delta was built for.
-func (dl *Delta[S]) N() int { return dl.n }
-
 // Reset caches seq as the committed base sequence, rebuilding every
 // aggregate in O(n), and returns its optimal cost. Any pending proposal is
 // discarded.
@@ -266,20 +263,6 @@ func firstAboveSum(a, b []int64, lo, hi int, t int64, g int) int {
 		}
 	}
 	return lo
-}
-
-// Committed returns the optimal timing of the committed base sequence.
-func (dl *Delta[S]) Committed() (cost, start int64, dueJob int) {
-	return dl.cost, dl.start, dl.dueJob
-}
-
-// Pending returns the optimal timing of the pending candidate. It panics
-// when no proposal is pending.
-func (dl *Delta[S]) Pending() (cost, start int64, dueJob int) {
-	if !dl.pendValid {
-		panic("cdd: Pending without Propose")
-	}
-	return dl.pendCost, dl.pendStart, dl.pendDueJob
 }
 
 // Propose evaluates cand, which must equal the committed base sequence
@@ -480,32 +463,6 @@ func (dl *Delta[S]) deltaTiming() (cost, start int64, dueJob int) {
 	ac, bcPre := dl.pacbcAt(r - 1)
 	bc := totalBC - bcPre
 	return a*cm - ac + bc - b*cm, d - cm, r
-}
-
-// MaterializeComp writes the pending candidate's start-0 completion times
-// into dst (length n) in O(n). The UCDDCP compression phase consumes this.
-func (dl *Delta[S]) MaterializeComp(dst []int64) {
-	if !dl.pendValid {
-		panic("cdd: MaterializeComp without Propose")
-	}
-	if dl.pendFull {
-		copy(dst, dl.fullComp)
-		return
-	}
-	copy(dst, dl.comp)
-	for j := 0; j < dl.k; j++ {
-		off := dl.cumD[j+1]
-		if off == 0 {
-			continue
-		}
-		hi := dl.n
-		if j+1 < dl.k {
-			hi = dl.qs[j+1]
-		}
-		for pos := dl.qs[j]; pos < hi; pos++ {
-			dst[pos] += off
-		}
-	}
 }
 
 // Commit adopts the pending candidate as the new committed base sequence.

@@ -172,7 +172,8 @@ func TestDeltaEdgeDueDates(t *testing.T) {
 }
 
 // TestDeltaMaterializeComp checks that the pending candidate's completion
-// times materialize exactly, on both the windowed and the full-pass paths.
+// times are exact, on both the windowed path (read through compAt) and the
+// full-pass path (held in fullComp).
 func TestDeltaMaterializeComp(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -184,17 +185,19 @@ func TestDeltaMaterializeComp(t *testing.T) {
 		dl.Reset(base)
 		cand := make([]int, n)
 		scratch := make([]int, 0, n)
-		got := make([]int64, n)
 		for step := 0; step < 30; step++ {
 			copy(cand, base)
 			touched := applyMove(rng, cand, scratch)
 			dl.Propose(cand, touched)
-			dl.MaterializeComp(got)
 			var tm int64
 			for pos, job := range cand {
 				tm += p[job]
-				if got[pos] != tm {
-					t.Fatalf("trial %d step %d: comp[%d] = %d, want %d", trial, step, pos, got[pos], tm)
+				got := dl.fullComp[pos]
+				if !dl.pendFull {
+					got = dl.compAt(pos)
+				}
+				if got != tm {
+					t.Fatalf("trial %d step %d (full=%v): comp[%d] = %d, want %d", trial, step, dl.pendFull, pos, got, tm)
 				}
 			}
 			if rng.Intn(2) == 0 {

@@ -3,18 +3,18 @@ package core
 import (
 	"repro/internal/cdd"
 	"repro/internal/problem"
-	"repro/internal/ucddcp"
 )
 
 // This file is the batch evaluation layer: a structure-of-arrays
 // snapshot of the instance (SoAInstance) plus an evaluator that scores
-// whole populations of sequences per call (BatchEvaluator). The batch
-// kernels in internal/cdd and internal/ucddcp run each row through the
-// exact single-row array cores over hoisted SoA columns, so a batch
-// call beats B single Cost calls on throughput by amortizing per-call
-// dispatch, Result building and scratch setup while remaining
-// bit-identical by construction — the invariant every consumer (the
-// ensemble runtime's per-chain scoring, the cudasim fitness kernel,
+// whole populations of sequences per call (BatchEvaluator). Every face
+// scores each row with the kind's exact single-row core — the same
+// segmentCost/segmentFitness dispatch the genome scorer runs per machine
+// (cdd.CostArrays or cdd.OptimizeArrays, ucddcp.OptimizeArrays,
+// earlywork.CostArrays) — over the hoisted SoA columns and one set of
+// scratch rows. Costs and abstract op counts are therefore bit-identical
+// to the per-sequence path by construction: the invariant every consumer
+// (the ensemble runtime's per-chain scoring, the cudasim fitness kernel,
 // DPSO's population evaluation) relies on and the verify oracle chain
 // enforces.
 
@@ -74,11 +74,11 @@ func (s *SoAInstance) genomeCoded() bool {
 }
 
 // BatchEvaluator scores batches of sequences against one SoAInstance
-// snapshot: B sequences per call through the batch array kernels, with
-// costs bit-identical to Evaluator.Cost on each row. It
-// also implements Evaluator (Cost is the batch of one, on the same
-// kernels). A BatchEvaluator carries scratch and is not safe for
-// concurrent use; create one per goroutine.
+// snapshot: B sequences per call, each through the kind's single-row
+// core. It also implements Evaluator (Cost is the batch of one), and it
+// is the Evaluator NewEvaluator returns for every instance. A
+// BatchEvaluator carries scratch and is not safe for concurrent use;
+// create one per goroutine.
 type BatchEvaluator struct {
 	in  *problem.Instance
 	soa *SoAInstance
@@ -120,21 +120,11 @@ func (e *BatchEvaluator) Instance() *problem.Instance { return e.in }
 // SoA returns the underlying snapshot (shared, read-only by convention).
 func (e *BatchEvaluator) SoA() *SoAInstance { return e.soa }
 
-// Cost implements Evaluator: the batch of one, evaluated on the same
-// array kernels (for UCDDCP this skips the per-call compression-vector
-// zeroing of the Result-building path). On genome-coded snapshots seq is
-// a delimiter genome and the cost is the sum of per-machine segment
-// costs.
+// Cost implements Evaluator: the batch of one. On genome-coded snapshots
+// seq is a delimiter genome and the cost is the sum of per-machine
+// segment costs.
 func (e *BatchEvaluator) Cost(seq []int) int64 {
-	s := e.soa
-	if s.genomeCoded() {
-		return GenomeCostArrays(seq, s, e.comp, e.aux)
-	}
-	if s.Kind == problem.UCDDCP {
-		c, _, _, _ := ucddcp.OptimizeArrays(seq, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, nil)
-		return c
-	}
-	return cdd.CostRowArrays(seq, s.P, s.Alpha, s.Beta, s.D)
+	return rowCost(seq, e.soa, e.comp, e.aux)
 }
 
 // CostRows scores B = len(costs) sequences stored row-major in rows
@@ -142,34 +132,12 @@ func (e *BatchEvaluator) Cost(seq []int) int64 {
 // pipeline keeps its population in. The row stride is the genome length
 // L (equal to N on single-machine instances).
 func (e *BatchEvaluator) CostRows(rows []int, costs []int64) {
-	s := e.soa
-	if s.genomeCoded() {
-		for i := range costs {
-			costs[i] = GenomeCostArrays(rows[i*s.L:(i+1)*s.L], s, e.comp, e.aux)
-		}
-		return
-	}
-	if s.Kind == problem.UCDDCP {
-		ucddcp.BatchCostArrays(rows, s.N, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, costs)
-		return
-	}
-	cdd.BatchCostArrays(rows, s.N, s.P, s.Alpha, s.Beta, s.D, costs)
+	costRows(rows, e.soa, e.comp, e.aux, costs)
 }
 
 // CostRows32 is CostRows for int32 rows (the device sequence layout).
 func (e *BatchEvaluator) CostRows32(rows []int32, costs []int64) {
-	s := e.soa
-	if s.genomeCoded() {
-		for i := range costs {
-			costs[i] = GenomeCostArrays(rows[i*s.L:(i+1)*s.L], s, e.comp, e.aux)
-		}
-		return
-	}
-	if s.Kind == problem.UCDDCP {
-		ucddcp.BatchCostArrays(rows, s.N, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, costs)
-		return
-	}
-	cdd.BatchCostArrays(rows, s.N, s.P, s.Alpha, s.Beta, s.D, costs)
+	costRows(rows, e.soa, e.comp, e.aux, costs)
 }
 
 // CostSeqs scores seqs[i] into costs[i] (len(costs) = len(seqs)) without
@@ -187,15 +155,29 @@ func (e *BatchEvaluator) CostSeqs(seqs [][]int, costs []int64) {
 // OptimizeArrays path it replaces.
 func (e *BatchEvaluator) FitnessRows32(rows []int32, costs []int64, ops []int) {
 	s := e.soa
-	if s.genomeCoded() {
-		for i := range costs {
-			costs[i], ops[i] = GenomeFitnessArrays(rows[i*s.L:(i+1)*s.L], s, e.comp, e.aux)
+	for i := range costs {
+		row := rows[i*s.L : (i+1)*s.L]
+		if s.genomeCoded() {
+			costs[i], ops[i] = GenomeFitnessArrays(row, s, e.comp, e.aux)
+		} else {
+			costs[i], ops[i] = segmentFitness(row, s, e.comp, e.aux)
 		}
-		return
 	}
-	if s.Kind == problem.UCDDCP {
-		ucddcp.BatchFitnessArrays(rows, s.N, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, e.comp, e.aux, costs, ops)
-		return
+}
+
+// costRows is the row loop shared by the []int and []int32 faces.
+func costRows[S cdd.Index](rows []S, s *SoAInstance, comp, aux, costs []int64) {
+	for i := range costs {
+		costs[i] = rowCost(rows[i*s.L:(i+1)*s.L], s, comp, aux)
 	}
-	cdd.BatchFitnessArrays(rows, s.N, s.P, s.Alpha, s.Beta, s.D, e.comp, costs, ops)
+}
+
+// rowCost scores one row: a delimiter genome on genome-coded snapshots,
+// otherwise the whole row is the single machine's sequence. Indices
+// outside [0, N) panic in the kernels' bounds checks.
+func rowCost[S cdd.Index](row []S, s *SoAInstance, comp, aux []int64) int64 {
+	if s.genomeCoded() {
+		return GenomeCostArrays(row, s, comp, aux)
+	}
+	return segmentCost(row, s, comp, aux)
 }

@@ -47,7 +47,7 @@ func randomBatchInstance(t testing.TB, kind problem.Kind, n int, rng *xrand.XORW
 	return in
 }
 
-// singleFitness is the per-row reference the batch kernels must
+// singleFitness is the per-row reference the batch faces must
 // reproduce bit for bit: OptimizeArrays on the evaluator's own SoA
 // columns, returning cost and abstract op count.
 func singleFitness(be *BatchEvaluator, seq []int) (int64, int) {
@@ -197,10 +197,9 @@ func TestSoAInstanceSharing(t *testing.T) {
 	}
 }
 
-// TestBatchEvaluatorRejectsBadIndex pins the memory-safety contract of
-// the unchecked-gather CDD row core: a row holding a job index outside
-// [0, n) must panic before any unchecked load, matching the safe path's
-// out-of-range panic.
+// TestBatchEvaluatorRejectsBadIndex pins the batch path's memory-safety
+// contract: a row holding a job index outside [0, n) must panic in the
+// CDD row core's bounds check rather than score a foreign value.
 func TestBatchEvaluatorRejectsBadIndex(t *testing.T) {
 	in := problem.PaperExample(problem.CDD)
 	be := NewBatchEvaluator(in)

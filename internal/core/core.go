@@ -14,7 +14,6 @@ import (
 	"repro/internal/cdd"
 	"repro/internal/perm"
 	"repro/internal/problem"
-	"repro/internal/ucddcp"
 	"repro/internal/xrand"
 )
 
@@ -29,21 +28,12 @@ type Evaluator interface {
 	Instance() *problem.Instance
 }
 
-// NewEvaluator returns the appropriate exact evaluator for the
-// instance's problem kind and machine count: the single-machine linear
-// algorithms for the paper's problems, or the machine-aware genome
-// scorer (a BatchEvaluator over the delimiter encoding) for
-// parallel-machine and early-work instances.
+// NewEvaluator returns the exact evaluator for the instance: a
+// BatchEvaluator, whose Cost scores the sequence with the kind's
+// single-machine linear algorithm, or the delimiter genome machine by
+// machine on parallel-machine and early-work instances.
 func NewEvaluator(in *problem.Instance) Evaluator {
-	if in.GenomeCoded() {
-		return NewBatchEvaluator(in)
-	}
-	switch in.Kind {
-	case problem.UCDDCP:
-		return ucddcp.NewEvaluator(in)
-	default:
-		return cdd.NewEvaluator(in)
-	}
+	return NewBatchEvaluator(in)
 }
 
 // DeltaEvaluator extends Evaluator with the incremental propose/commit
@@ -70,20 +60,16 @@ type DeltaEvaluator interface {
 	Commit()
 }
 
-// NewDeltaEvaluator returns the appropriate incremental evaluator for the
-// instance's problem kind and machine count: the single-machine delta
-// evaluators for the paper's problems, or the machine-granular
-// MachineDeltaEvaluator over the delimiter genome otherwise.
+// NewDeltaEvaluator returns the incremental evaluator for the instance:
+// the windowed cdd.DeltaEvaluator for single-machine CDD, or the
+// machine-granular MachineDeltaEvaluator otherwise (on single-machine
+// UCDDCP its one segment is the whole sequence, so Propose is one
+// ucddcp.OptimizeArrays pass).
 func NewDeltaEvaluator(in *problem.Instance) DeltaEvaluator {
-	if in.GenomeCoded() {
+	if in.GenomeCoded() || in.Kind == problem.UCDDCP {
 		return NewMachineDeltaEvaluator(in)
 	}
-	switch in.Kind {
-	case problem.UCDDCP:
-		return ucddcp.NewDeltaEvaluator(in)
-	default:
-		return cdd.NewDeltaEvaluator(in)
-	}
+	return cdd.NewDeltaEvaluator(in)
 }
 
 // Result is the outcome of one solver run.

@@ -3,7 +3,8 @@ package core
 import "repro/internal/problem"
 
 // MachineDeltaEvaluator is the incremental propose/commit evaluator for
-// genome-coded instances (parallel machines and EARLYWORK). It caches the
+// genome-coded instances (parallel machines and EARLYWORK) and for
+// single-machine UCDDCP, whose genome is one segment. It caches the
 // committed genome together with its per-machine segment costs and prices
 // a move at machine granularity: a move touching positions [lo, hi] can
 // only change the machines whose segments intersect that window, so only
@@ -36,18 +37,18 @@ type MachineDeltaEvaluator struct {
 	// Pending proposal: the touched window, the affected machine range,
 	// the rescored segment costs and separator positions, and a copy of
 	// the candidate window for Commit.
-	pLo, pHi         int
-	pSegLo, pSegHi   int
-	pSeg             []int64
-	pSepRank         []int
-	pWin             []int
-	pDelta           int64
+	pLo, pHi       int
+	pSegLo, pSegHi int
+	pSeg           []int64
+	pSepRank       []int
+	pWin           []int
+	pDelta         int64
 	pending, pNoop bool
 }
 
-// NewMachineDeltaEvaluator builds the evaluator for a genome-coded
-// instance (it also accepts single-machine EARLYWORK, where the single
-// segment is the whole genome).
+// NewMachineDeltaEvaluator builds the evaluator for an instance of any
+// kind and machine count; on one machine the single segment is the whole
+// genome.
 func NewMachineDeltaEvaluator(in *problem.Instance) *MachineDeltaEvaluator {
 	soa := NewSoAInstance(in)
 	e := &MachineDeltaEvaluator{

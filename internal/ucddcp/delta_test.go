@@ -1,11 +1,17 @@
-package ucddcp
+package ucddcp_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/problem"
+	"repro/internal/ucddcp"
 )
+
+// The delta tests drive core.NewDeltaEvaluator, the single-machine UCDDCP
+// propose/commit path every SA chain uses, against the stateless
+// ucddcp.Evaluator on the same candidates.
 
 // applyMove mutates cand with one random move from the metaheuristics'
 // move families and returns the touched positions (possibly containing
@@ -83,11 +89,11 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(48)
-		in := randomInstance(rng, n, 6)
-		full := NewEvaluator(in)
-		de := NewDeltaEvaluator(in)
+		in := ucddcp.RandomInstance(rng, n, 6)
+		full := ucddcp.NewEvaluator(in)
+		de := core.NewDeltaEvaluator(in)
 
-		base := randomSequence(rng, n)
+		base := ucddcp.RandomSequence(rng, n)
 		if got, want := de.Reset(base), full.Cost(base); got != want {
 			t.Fatalf("trial %d: Reset cost %d, full %d", trial, got, want)
 		}
@@ -107,7 +113,7 @@ func TestDeltaMatchesFullRandomMoves(t *testing.T) {
 				copy(base, cand)
 			}
 		}
-		probe := randomSequence(rng, n)
+		probe := ucddcp.RandomSequence(rng, n)
 		if got, want := de.Cost(probe), full.Cost(probe); got != want {
 			t.Fatalf("trial %d: stateless Cost %d, full %d", trial, got, want)
 		}
@@ -142,9 +148,9 @@ func TestDeltaDegenerateDueDates(t *testing.T) {
 			for i := 0; i < n; i++ {
 				in.Jobs[i] = problem.Job{P: p[i], M: m[i], Alpha: alpha[i], Beta: beta[i], Gamma: gamma[i]}
 			}
-			full := NewEvaluator(in)
-			de := NewDeltaEvaluator(in)
-			base := randomSequence(rng, n)
+			full := ucddcp.NewEvaluator(in)
+			de := core.NewDeltaEvaluator(in)
+			base := ucddcp.RandomSequence(rng, n)
 			de.Reset(base)
 			cand := make([]int, n)
 			scratch := make([]int, 0, n)
@@ -163,39 +169,46 @@ func TestDeltaDegenerateDueDates(t *testing.T) {
 	}
 }
 
-// TestDeltaInt32Parity cross-checks the device-index instantiation against
-// the host instantiation move for move.
+// TestDeltaInt32Parity cross-checks the device-index instantiation of
+// OptimizeArrays ([]int32 rows, as the simulated GPU kernels score them)
+// against the host instantiation ([]int) along the same random walk the
+// delta tests take: cost, start, due-date position and op count must all
+// agree.
 func TestDeltaInt32Parity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(20)
-		in := randomInstance(rng, n, 5)
-		p, m, alpha, beta, gamma := ParamArrays(in)
-		dlHost := NewDelta[int](p, m, alpha, beta, gamma, in.D)
-		dlDev := NewDelta[int32](p, m, alpha, beta, gamma, in.D)
-		base := randomSequence(rng, n)
-		base32 := make([]int32, n)
-		for i, v := range base {
-			base32[i] = int32(v)
+		in := ucddcp.RandomInstance(rng, n, 5)
+		p, m, alpha, beta, gamma := ucddcp.ParamArrays(in)
+		comp := make([]int64, n)
+		scratch64 := make([]int64, n)
+		eval := func(seq []int, seq32 []int32) (host, dev [4]int64) {
+			c, s, r, o := ucddcp.OptimizeArrays(seq, p, m, alpha, beta, gamma, in.D, comp, scratch64, nil)
+			host = [4]int64{c, s, int64(r), int64(o)}
+			c, s, r, o = ucddcp.OptimizeArrays(seq32, p, m, alpha, beta, gamma, in.D, comp, scratch64, nil)
+			dev = [4]int64{c, s, int64(r), int64(o)}
+			return host, dev
 		}
-		if h, d := dlHost.Reset(base), dlDev.Reset(base32); h != d {
-			t.Fatalf("trial %d: Reset host %d dev %d", trial, h, d)
-		}
+		base := ucddcp.RandomSequence(rng, n)
 		cand := make([]int, n)
 		cand32 := make([]int32, n)
+		for i, v := range base {
+			cand32[i] = int32(v)
+		}
+		if h, d := eval(base, cand32); h != d {
+			t.Fatalf("trial %d: base host %v dev %v", trial, h, d)
+		}
 		scratch := make([]int, 0, n)
 		for step := 0; step < 50; step++ {
 			copy(cand, base)
-			touched := applyMove(rng, cand, scratch)
+			applyMove(rng, cand, scratch)
 			for i, v := range cand {
 				cand32[i] = int32(v)
 			}
-			if h, d := dlHost.Propose(cand, touched), dlDev.Propose(cand32, touched); h != d {
-				t.Fatalf("trial %d step %d: Propose host %d dev %d", trial, step, h, d)
+			if h, d := eval(cand, cand32); h != d {
+				t.Fatalf("trial %d step %d: host (cost, start, r, ops) %v dev %v", trial, step, h, d)
 			}
 			if rng.Intn(2) == 0 {
-				dlHost.Commit()
-				dlDev.Commit()
 				copy(base, cand)
 			}
 		}

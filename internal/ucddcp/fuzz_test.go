@@ -3,6 +3,7 @@ package ucddcp_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/problem"
 	"repro/internal/ucddcp"
 	"repro/internal/xrand"
@@ -42,10 +43,10 @@ func ucddcpFromBytes(data []byte, dRaw uint64) *problem.Instance {
 }
 
 // FuzzUCDDCPDeltaVsFull drives the controllable problem's incremental
-// evaluator (whose Propose must re-run the two-phase compression on the
-// corrected completion times) through a random walk of swap and
-// segment-reversal moves, cross-checking every proposal against the
-// stateless full pass.
+// evaluator (core.NewDeltaEvaluator, whose Propose rescores the candidate
+// with the two-phase core and whose Commit adopts the touched window)
+// through a random walk of swap and segment-reversal moves,
+// cross-checking every proposal against the stateless full pass.
 func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 	f.Add([]byte{6, 5, 7, 9, 5, 5, 5, 9, 5, 4, 2, 2, 6, 4, 3, 4, 3, 9, 3, 2, 4, 3, 3, 2, 1}, uint64(1), uint64(1))
 	f.Add([]byte{20, 0, 0, 0, 10, 1, 0, 10, 15, 0}, uint64(5), uint64(9))
@@ -56,7 +57,7 @@ func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 		}
 		n := in.N()
 		rng := xrand.New(seed | 1)
-		dl := ucddcp.NewDeltaEvaluator(in)
+		dl := core.NewDeltaEvaluator(in)
 		full := ucddcp.NewEvaluator(in)
 		base := problem.IdentitySequence(n)
 		if got, want := dl.Reset(base), full.Cost(base); got != want {

@@ -34,10 +34,7 @@
 // exact objective value of the schedule actually constructed.
 package ucddcp
 
-import (
-	"repro/internal/cdd"
-	"repro/internal/problem"
-)
+import "repro/internal/problem"
 
 // Result describes the optimized timing and compression of a fixed
 // sequence.
@@ -66,13 +63,6 @@ func OptimizeSequence(in *problem.Instance, seq []int) Result {
 	copy(x, res.X)
 	res.X = x
 	return res
-}
-
-// OptimizeSequenceNoCompression returns the optimal cost of the sequence
-// with all compressions forced to zero — the plain CDD timing of the same
-// sequence. It is the natural upper bound for Optimize's cost.
-func OptimizeSequenceNoCompression(in *problem.Instance, seq []int) int64 {
-	return cdd.OptimizeSequence(in, seq).Cost
 }
 
 // Evaluator evaluates sequences of one UCDDCP instance repeatedly without

@@ -130,10 +130,10 @@ func ucddcpEvaluators() []NamedCost {
 		{Name: "core.Evaluator", Cost: func(in *problem.Instance, seq []int) (int64, error) {
 			return core.NewEvaluator(in).Cost(seq), nil
 		}},
-		{Name: "ucddcp.Delta.Reset", Cost: func(in *problem.Instance, seq []int) (int64, error) {
-			return ucddcp.NewDeltaEvaluator(in).Reset(seq), nil
+		{Name: "machineDelta.Reset", Cost: func(in *problem.Instance, seq []int) (int64, error) {
+			return core.NewDeltaEvaluator(in).Reset(seq), nil
 		}},
-		{Name: "ucddcp.Delta.Propose", Cost: deltaProposeCost},
+		{Name: "machineDelta.Propose", Cost: deltaProposeCost},
 		{Name: "core.BatchEvaluator.Cost", Cost: batchCost},
 		{Name: "batch.CostRows", Cost: batchRowsCost},
 		{Name: "batch.CostSeqs", Cost: batchSeqsCost},
