@@ -25,11 +25,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Time the metaheuristic hot path (full fused evaluators, the
-# incremental delta paths — single-machine and the parallel genome
-# variant — and the batch core) and record the numbers as JSON.
+# Time the metaheuristic hot path and record the numbers as JSON: the
+# full evaluators, the incremental delta evaluators (single-machine and
+# the parallel genome variant) and the batch core, plus one SA chain step
+# over the full and the delta evaluator. The chain-step rows are the ones
+# that decide the CPU SA evaluator: the delta rows of the evaluator
+# benchmarks time Propose only, a chain step also pays for Commit.
 bench-hotpath:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEvaluator(CDD|CDDDelta|UCDDCP|Genome)|BenchmarkBatchEvaluator' -benchmem -benchtime 1s . && \
+	( $(GO) test -run '^$$' -bench 'BenchmarkEvaluator(CDD|CDDDelta|UCDDCP|Genome)|BenchmarkBatchEvaluator|BenchmarkChainStep' -benchmem -benchtime 1s . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServe(Solve|Batch)Allocs' -benchmem -benchtime 2000x ./internal/server/ ) \
 		| $(GO) run ./cmd/benchjson -out BENCH_evaluator.json
 

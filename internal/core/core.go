@@ -43,7 +43,11 @@ func NewEvaluator(in *problem.Instance) Evaluator {
 // O(n) full pass — and calls Commit exactly when a proposal is accepted.
 // Rejected proposals need no bookkeeping; a new Propose simply replaces
 // the pending one. Propose costs are bit-identical to Cost on the same
-// candidate, so trajectories (and results) are unchanged — only faster.
+// candidate, so trajectories (and results) are unchanged. A cheaper
+// Propose is not a cheaper search step: Commit can rebuild in O(n), and
+// in every case BenchmarkChainStep measures an SA chain step over
+// NewEvaluator is faster than one over this protocol or within its
+// run-to-run noise, so the CPU SA engines score with NewEvaluator.
 //
 // Cost remains a stateless full evaluation and never disturbs the cache.
 // Implementations are not safe for concurrent use.
@@ -172,11 +176,10 @@ type Solver interface {
 // evaluation core (each sample is the previous one reshuffled in place,
 // so samples chain and cannot be scored as one flat batch); costs are
 // bit-identical to eval.Cost, and the float accumulation order is
-// unchanged, so T₀ is too.
+// unchanged, so T₀ is too. It scores TempSampleCount(samples)
+// sequences; callers that count evaluations add that number.
 func InitialTemperature(eval Evaluator, rng *xrand.XORWOW, samples int) float64 {
-	if samples < 2 {
-		samples = 2
-	}
+	samples = TempSampleCount(samples)
 	be := BatchEvaluatorFor(eval)
 	n := eval.Instance().GenomeLen()
 	seq := problem.IdentitySequence(n)
@@ -200,6 +203,10 @@ func InitialTemperature(eval Evaluator, rng *xrand.XORWOW, samples int) float64 
 	}
 	return sd
 }
+
+// TempSampleCount is the number of sequences InitialTemperature scores
+// when asked for samples: at least two, so the spread is defined.
+func TempSampleCount(samples int) int { return max(samples, 2) }
 
 // RandomSolution evaluates one uniformly random sequence; solvers use it
 // for initialization and tests for baselines.

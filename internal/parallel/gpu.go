@@ -286,11 +286,7 @@ func (pl *pipeline) randomRows() []int32 {
 		for i := range row {
 			row[i] = int32(i)
 		}
-		rng := pl.rngs[t]
-		for i := pl.n - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			row[i], row[j] = row[j], row[i]
-		}
+		xrand.Shuffle(pl.rngs[t], row)
 	}
 	return rows
 }
@@ -493,8 +489,9 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 			eval := core.NewEvaluator(inst)
 			temp = core.InitialTemperature(eval, xrand.NewStream(g.Seed, uint64(N)+1), cfg.TempSamples)
 		})
-		evalCount += int64(cfg.TempSamples)
-		col.AddFullEvals(int64(cfg.TempSamples))
+		scored := int64(core.TempSampleCount(cfg.TempSamples))
+		evalCount += scored
+		col.AddFullEvals(scored)
 	}
 
 	// Device state: sequences, candidates, costs, per-thread bests.

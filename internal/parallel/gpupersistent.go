@@ -129,8 +129,9 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 			eval := core.NewEvaluator(inst)
 			t0 = core.InitialTemperature(eval, xrand.NewStream(g.Seed, uint64(N)+1), cfg.TempSamples)
 		})
-		evalCount += int64(cfg.TempSamples)
-		col.AddFullEvals(int64(cfg.TempSamples))
+		scored := int64(core.TempSampleCount(cfg.TempSamples))
+		evalCount += scored
+		col.AddFullEvals(scored)
 	}
 
 	seqBuf := cudasim.NewBufferFrom(dev, pl.randomRows())

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dpso"
+	"repro/internal/sa"
 )
 
 // TestMetricsOffByDefault: the zero-value MetricsLevel must leave
@@ -109,6 +110,69 @@ func TestMetricsAgreeAcrossGPUSAEngines(t *testing.T) {
 	if km.DeltaEvaluations != pm.DeltaEvaluations || km.FullEvaluations != pm.FullEvaluations {
 		t.Errorf("eval-path counters differ: four-kernel %d/%d, persistent %d/%d",
 			km.DeltaEvaluations, km.FullEvaluations, pm.DeltaEvaluations, pm.FullEvaluations)
+	}
+}
+
+// TestCPUSAScoresWithFullPass: the CPU SA engines score every neighbour
+// with the full O(n) pass, so they report no delta evaluations; the
+// simulated-GPU CDD path keeps pricing candidates incrementally.
+func TestCPUSAScoresWithFullPass(t *testing.T) {
+	ctx := context.Background()
+	in := benchInstanceCDD(15)
+	for name, s := range map[string]core.Solver{
+		"AsyncSA": &AsyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, Metrics: core.MetricsCounters},
+		"SyncSA":  &SyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, MarkovLen: 5, Levels: 6, Metrics: core.MetricsCounters},
+	} {
+		r, err := s.Solve(ctx, in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m := r.Metrics; m.DeltaEvaluations != 0 || m.FullEvaluations != m.Evaluations {
+			t.Errorf("%s: delta %d, full %d of %d evaluations; want 0 delta, all full",
+				name, m.DeltaEvaluations, m.FullEvaluations, m.Evaluations)
+		}
+	}
+	r, err := (&GPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsCounters}).Solve(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Metrics.DeltaEvaluations == 0 {
+		t.Error("GPUSA on CDD reports no delta evaluations")
+	}
+}
+
+// TestGPUSAOneTempSampleCountsTwo: the T₀ estimate scores at least two
+// samples, so both GPU SA engines run with TempSamples 1 exactly as with
+// TempSamples 2 — same answer, same evaluation counts.
+func TestGPUSAOneTempSampleCountsTwo(t *testing.T) {
+	ctx := context.Background()
+	in := benchInstanceCDD(15)
+	for name, mk := range map[string]func(cfg sa.Config) core.Solver{
+		"GPUSA": func(cfg sa.Config) core.Solver {
+			return &GPUSA{SA: cfg, Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsCounters}
+		},
+		"PersistentGPUSA": func(cfg sa.Config) core.Solver {
+			return &PersistentGPUSA{SA: cfg, Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsCounters}
+		},
+	} {
+		run := func(samples int) core.Result {
+			cfg := goldenSA()
+			cfg.TempSamples = samples
+			r, err := mk(cfg).Solve(ctx, in)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return r
+		}
+		one, two := run(1), run(2)
+		if one.BestCost != two.BestCost || one.Evaluations != two.Evaluations {
+			t.Errorf("%s: TempSamples 1 gives cost %d after %d evaluations, 2 gives %d after %d",
+				name, one.BestCost, one.Evaluations, two.BestCost, two.Evaluations)
+		}
+		if one.Metrics.FullEvaluations != two.Metrics.FullEvaluations {
+			t.Errorf("%s: full evaluations %d with TempSamples 1, %d with 2",
+				name, one.Metrics.FullEvaluations, two.Metrics.FullEvaluations)
+		}
 	}
 }
 

@@ -125,7 +125,9 @@ func (a *AsyncSA) Name() string {
 // Solve runs every chain to completion over the shared ensemble runtime
 // and reduces to the best solution. Results are deterministic for a
 // fixed seed regardless of Parallel, because chain i always consumes RNG
-// stream i.
+// stream i. Each chain scores its neighbours with the full O(n) pass of
+// core.NewEvaluator: with the Commit cost counted, the delta evaluator
+// is slower or no faster in every case BenchmarkChainStep measures.
 func (a *AsyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
 	if inst == nil {
 		inst = a.Inst
@@ -142,10 +144,7 @@ func (a *AsyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 		Progress:   a.Progress,
 		Collector:  obs.NewCollector(a.Metrics),
 		NewChain: func(i int, rng *xrand.XORWOW) Chain {
-			// Incremental evaluator: chains price each neighbour in
-			// O(touched) with bit-identical costs, so results match full
-			// evaluation.
-			return sa.NewChain(cfg, core.NewDeltaEvaluator(inst), rng)
+			return sa.NewChain(cfg, core.NewEvaluator(inst), rng)
 		},
 	})
 }
@@ -210,11 +209,9 @@ func (s *SyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result
 
 	col := obs.NewCollector(s.Metrics)
 	chains := make([]*sa.Chain, ens.Chains)
-	evals := make([]core.Evaluator, ens.Chains)
 	phased(col, obs.PhaseT0, func() {
 		runOverWorkers(ens.Chains, ens.Workers, s.Parallel, func(i int) {
-			evals[i] = core.NewDeltaEvaluator(inst)
-			chains[i] = sa.NewChain(s.SA, evals[i], xrand.NewStream(ens.Seed, uint64(i)))
+			chains[i] = sa.NewChain(s.SA, core.NewEvaluator(inst), xrand.NewStream(ens.Seed, uint64(i)))
 		})
 	})
 

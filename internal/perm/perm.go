@@ -6,24 +6,24 @@
 // cognition (F2) and social (F3) operators after Pan et al.
 package perm
 
-// Rand is the minimal source of randomness the operators need. Both
-// *math/rand.Rand and *xrand.XORWOW satisfy it.
+import "repro/internal/xrand"
+
+// Rand is the source of randomness the moves and crossovers draw from.
+// Every caller passes an *xrand.XORWOW; tests script Intn to pin the
+// crossover cut points. The shuffles take the XORWOW itself.
 type Rand interface {
 	// Intn returns a uniform integer in [0,n); n must be positive.
 	Intn(n int) int
 }
 
 // FisherYates shuffles seq uniformly in place using the classic
-// Fisher–Yates algorithm (CLRS, as cited by the paper).
-func FisherYates(r Rand, seq []int) {
-	for i := len(seq) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		seq[i], seq[j] = seq[j], seq[i]
-	}
+// Fisher–Yates algorithm (CLRS, as cited by the paper); see xrand.Shuffle.
+func FisherYates(r *xrand.XORWOW, seq []int) {
+	xrand.Shuffle(r, seq)
 }
 
 // Random returns a fresh uniform random permutation of 0..n-1.
-func Random(r Rand, n int) []int {
+func Random(r *xrand.XORWOW, n int) []int {
 	seq := make([]int, n)
 	for i := range seq {
 		seq[i] = i
@@ -129,7 +129,7 @@ func NewOps(n int) *Ops {
 // [0, len(seq)]. It returns the selected positions (aliasing internal
 // scratch, valid until the next call) so incremental evaluators can price
 // the move in O(k); a clamped k < 2 yields an empty slice.
-func (o *Ops) PartialShuffle(r Rand, seq []int, k int) []int {
+func (o *Ops) PartialShuffle(r *xrand.XORWOW, seq []int, k int) []int {
 	n := len(seq)
 	if n != o.n {
 		panic("perm: sequence length differs from Ops size")

@@ -140,7 +140,10 @@ type Chain struct {
 // temperature follows the config. When the evaluator implements
 // core.DeltaEvaluator, the chain prices each neighbour incrementally
 // through the propose/commit protocol — the costs (and therefore the
-// trajectory) are bit-identical to full evaluation, only cheaper.
+// trajectory) are bit-identical to full evaluation. That is not faster:
+// in every case BenchmarkChainStep times, a step over core.NewEvaluator
+// is faster than one over core.NewDeltaEvaluator or within noise of it,
+// so production chains take the full pass.
 func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 	n := eval.Instance().GenomeLen()
 	cfg = cfg.normalized(n)
@@ -167,8 +170,9 @@ func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 	c.temp = cfg.T0
 	if c.temp <= 0 {
 		c.temp = core.InitialTemperature(eval, rng, cfg.TempSamples)
-		c.evals += int64(cfg.TempSamples)
-		c.fullEvals += int64(cfg.TempSamples)
+		scored := int64(core.TempSampleCount(cfg.TempSamples))
+		c.evals += scored
+		c.fullEvals += scored
 	}
 	if cfg.Schedule != Exponential {
 		c.cooler = NewCooler(cfg.Schedule, c.temp, cfg.Cooling, cfg.Iterations, cfg.ReheatPeriod, cfg.ReheatFactor)

@@ -267,6 +267,28 @@ func TestEvaluationAccounting(t *testing.T) {
 	}
 }
 
+// TestOneTempSampleCountsTwo: core.InitialTemperature scores at least
+// two random sequences, so a chain configured with TempSamples 1 reports
+// the initial solution plus those two samples before its first step, and
+// anneals from the same T0 as TempSamples 2.
+func TestOneTempSampleCountsTwo(t *testing.T) {
+	in := problem.PaperExample(problem.CDD)
+	cfg := DefaultConfig()
+	cfg.TempSamples = 1
+	one := NewChain(cfg, core.NewEvaluator(in), xrand.New(8))
+	if got := one.Evaluations(); got != 1+2 {
+		t.Errorf("evaluations before the first step = %d, want 1 + 2", got)
+	}
+	if c := one.Counters(); c.FullEvaluations != 1+2 {
+		t.Errorf("full evaluations before the first step = %d, want 1 + 2", c.FullEvaluations)
+	}
+	cfg.TempSamples = 2
+	two := NewChain(cfg, core.NewEvaluator(in), xrand.New(8))
+	if one.Temperature() != two.Temperature() {
+		t.Errorf("T0 with 1 sample = %v, with 2 = %v", one.Temperature(), two.Temperature())
+	}
+}
+
 func TestConfigNormalization(t *testing.T) {
 	cfg := Config{Pert: 100}.normalized(5)
 	if cfg.Pert != 5 {

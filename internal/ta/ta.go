@@ -97,7 +97,7 @@ func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 	c.threshold = cfg.Threshold0
 	if c.threshold <= 0 {
 		c.threshold = core.InitialTemperature(eval, rng, cfg.TempSamples)
-		c.evals += int64(cfg.TempSamples)
+		c.evals += int64(core.TempSampleCount(cfg.TempSamples))
 	}
 	return c
 }

@@ -110,3 +110,14 @@ func TestEvaluationAccounting(t *testing.T) {
 		t.Errorf("evaluations = %d, want 71", got)
 	}
 }
+
+// TestOneTempSampleCountsTwo: the Threshold0 estimate scores at least two
+// random sequences, and a chain configured with TempSamples 1 counts both.
+func TestOneTempSampleCountsTwo(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TempSamples = 1
+	c := NewChain(cfg, core.NewEvaluator(problem.PaperExample(problem.CDD)), xrand.New(7))
+	if got := c.Evaluations(); got != 1+2 {
+		t.Errorf("evaluations before the first step = %d, want 1 + 2", got)
+	}
+}

@@ -45,7 +45,7 @@ func CheckMetamorphic(in *problem.Instance, rng *xrand.XORWOW, samples int) []Di
 	eval := core.NewEvaluator(in)
 	seq := problem.IdentitySequence(in.GenomeLen())
 	for s := 0; s < samples; s++ {
-		shuffle(rng, seq)
+		xrand.Shuffle(rng, seq)
 		base := eval.Cost(seq)
 		ds = append(ds, checkRelabel(in, rng, seq, base)...)
 		if in.Kind != problem.EARLYWORK {
@@ -63,14 +63,6 @@ func CheckMetamorphic(in *problem.Instance, rng *xrand.XORWOW, samples int) []Di
 	return ds
 }
 
-// shuffle is a Fisher–Yates permutation using the subsystem's rng.
-func shuffle(rng *xrand.XORWOW, seq []int) {
-	for i := len(seq) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		seq[i], seq[j] = seq[j], seq[i]
-	}
-}
-
 // checkRelabel renames job ids through a random permutation π (job i of
 // the original becomes job π(i) of the relabeled instance) and asserts
 // cost invariance of the mapped genome (separator values pass through
@@ -78,7 +70,7 @@ func shuffle(rng *xrand.XORWOW, seq []int) {
 func checkRelabel(in *problem.Instance, rng *xrand.XORWOW, seq []int, base int64) []Discrepancy {
 	n := in.N()
 	pi := problem.IdentitySequence(n)
-	shuffle(rng, pi)
+	xrand.Shuffle(rng, pi)
 	re := in.Clone()
 	re.Name = in.Name + "/relabeled"
 	for i, j := range in.Jobs {

@@ -283,7 +283,7 @@ func (r *Report) checkInstance(ctx context.Context, cfg Config, family string, i
 	seq := problem.IdentitySequence(n)
 	for s := 0; s < cfg.SeqSamples; s++ {
 		if s > 0 {
-			shuffle(rng, seq)
+			xrand.Shuffle(rng, seq)
 		}
 		r.Checks["sequence-agreement"]++
 		for _, d := range CheckSequenceAgreement(in, seq) {

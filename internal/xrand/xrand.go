@@ -109,6 +109,38 @@ func (r *XORWOW) Intn(n int) int {
 	}
 }
 
+// Shuffle permutes seq uniformly in place with the descending
+// Fisher–Yates loop of Intn(i+1) draws, i = len(seq)−1 … 1. The
+// permutation and the generator's final state equal that loop's exactly;
+// Shuffle only keeps the generator state in locals for the whole pass
+// and skips the rejection threshold's modulo whenever the draw's low
+// word is already at least the bound (the threshold is below the bound,
+// so the draw is accepted either way). It panics if seq is longer than
+// Intn can bound.
+func Shuffle[S ~int | ~int32](r *XORWOW, seq []S) {
+	if int64(len(seq)) > 1<<32-1 {
+		panic("xrand: Shuffle length exceeds 32 bits")
+	}
+	x, y, z, w, v, d := r.x, r.y, r.z, r.w, r.v, r.d
+	for i := len(seq) - 1; i > 0; i-- {
+		bound := uint32(i + 1)
+		var prod uint64
+		for {
+			t := x ^ (x >> 2)
+			x, y, z, w = y, z, w, v
+			v = (v ^ (v << 4)) ^ (t ^ (t << 1))
+			d += xorwowWeyl
+			prod = uint64(v+d) * uint64(bound)
+			if lo := uint32(prod); lo >= bound || lo >= -bound%bound {
+				break
+			}
+		}
+		j := int(prod >> 32)
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+	r.x, r.y, r.z, r.w, r.v, r.d = x, y, z, w, v, d
+}
+
 // NormFloat64 returns a standard normal variate via the polar
 // Box–Muller method. Used for temperature-estimation diagnostics.
 func (r *XORWOW) NormFloat64() float64 {

@@ -268,3 +268,82 @@ func BenchmarkIntn(b *testing.B) {
 	}
 	_ = sink
 }
+
+// intnShuffle is the reference Fisher–Yates: one Intn(i+1) draw per
+// position, i = len(seq)−1 … 1.
+func intnShuffle[S ~int | ~int32](r *XORWOW, seq []S) {
+	for i := len(seq) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+}
+
+// lemireRejections counts the draws Lemire's method rejects over one
+// descending Fisher–Yates pass of length n, replayed on a copy of r.
+func lemireRejections(r XORWOW, n int) int {
+	rejected := 0
+	for i := n - 1; i > 0; i-- {
+		bound := uint32(i + 1)
+		for uint32(uint64(r.Uint32())*uint64(bound)) < -bound%bound {
+			rejected++
+		}
+	}
+	return rejected
+}
+
+// shuffleMatchesIntn checks Shuffle against the Intn loop on one length
+// and seed: identical permutation and identical generator state after.
+func shuffleMatchesIntn[S ~int | ~int32](t *testing.T, n int, seed uint64) {
+	t.Helper()
+	got, want := make([]S, n), make([]S, n)
+	for i := range got {
+		got[i], want[i] = S(i), S(i)
+	}
+	rg, rw := New(seed), New(seed)
+	Shuffle(rg, got)
+	intnShuffle(rw, want)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%T n=%d seed=%d: position %d = %d, Intn loop gives %d", got, n, seed, i, got[i], want[i])
+		}
+	}
+	if *rg != *rw {
+		t.Fatalf("%T n=%d seed=%d: generator state %+v, Intn loop leaves %+v", got, n, seed, *rg, *rw)
+	}
+}
+
+// TestShuffleMatchesIntnLoop pins Shuffle's bit-identity with the Intn
+// loop it replaces, for both element types, over lengths large enough
+// that Lemire's rejection branch fires.
+func TestShuffleMatchesIntnLoop(t *testing.T) {
+	rejected := 0
+	for _, n := range []int{0, 1, 2, 3, 17, 100, 1000, 1 << 17} {
+		seeds := uint64(200)
+		if n == 1<<17 {
+			seeds = 8
+			for s := uint64(0); s < seeds; s++ {
+				rejected += lemireRejections(*New(s), n)
+			}
+		}
+		for s := uint64(0); s < seeds; s++ {
+			shuffleMatchesIntn[int](t, n, s)
+			shuffleMatchesIntn[int32](t, n, s)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no draw was rejected: the rejection branch went unexercised")
+	}
+	t.Logf("%d rejected draws at n=1<<17", rejected)
+}
+
+func BenchmarkShuffle(b *testing.B) {
+	r := New(1)
+	seq := make([]int, 100)
+	for i := range seq {
+		seq[i] = i
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Shuffle(r, seq)
+	}
+}
