@@ -9,7 +9,10 @@
 // b.ReportMetric units). Each record carries the package of the most
 // recent "pkg:" line, so input concatenated from several `go test` runs
 // keeps every row attributed to its own package; the remaining context
-// lines (goos/goarch/cpu) are captured into the header. When both a
+// lines (goos/goarch/cpu) are captured into the header, together with the
+// GOMAXPROCS the rows ran at (their -N name suffix) and the Go version
+// benchjson was built with (the toolchain of the `go test` run when both
+// come from the same pipeline). When both a
 // full-evaluation benchmark and its Delta counterpart appear
 // (BenchmarkEvaluatorCDD vs BenchmarkEvaluatorCDDDelta at the same
 // size), the speedup ratio is computed into the summary.
@@ -23,6 +26,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,9 +76,13 @@ func main() {
 
 // parse reads `go test -bench` text and builds the document, stamping
 // each benchmark row with the package of the "pkg:" line preceding it.
+// When any row parses, the header also records the rows' GOMAXPROCS
+// values (distinct, in order of appearance, comma-separated) as
+// "gomaxprocs" and runtime.Version() as "go".
 func parse(r io.Reader) (Doc, error) {
 	doc := Doc{Context: map[string]string{}}
 	pkg := ""
+	var procs []string
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -81,9 +90,12 @@ func parse(r io.Reader) (Doc, error) {
 		case line == "" || line == "PASS" || strings.HasPrefix(line, "ok "):
 			continue
 		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseBench(line); ok {
+			if b, p, ok := parseBench(line); ok {
 				b.Pkg = pkg
 				doc.Benchmarks = append(doc.Benchmarks, b)
+				if p != "" && !slices.Contains(procs, p) {
+					procs = append(procs, p)
+				}
 			}
 		default:
 			k, v, ok := strings.Cut(line, ":")
@@ -101,28 +113,34 @@ func parse(r io.Reader) (Doc, error) {
 	if err := sc.Err(); err != nil {
 		return Doc{}, err
 	}
+	if len(procs) > 0 {
+		doc.Context["gomaxprocs"] = strings.Join(procs, ",")
+	}
+	if len(doc.Benchmarks) > 0 {
+		doc.Context["go"] = runtime.Version()
+	}
 	doc.Speedups = speedups(doc.Benchmarks)
 	return doc, nil
 }
 
-// parseBench parses one result line:
+// parseBench parses one result line, returning the record and the
+// -GOMAXPROCS suffix stripped from its name ("" when the name has none):
 //
 //	BenchmarkX/n100-8   123456   987 ns/op   0 B/op   0 allocs/op   1.5 x-label
-func parseBench(line string) (Bench, bool) {
+func parseBench(line string) (Bench, string, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Bench{}, false
+		return Bench{}, "", false
 	}
-	name := fields[0]
+	name, procs := fields[0], ""
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		// Strip the -GOMAXPROCS suffix.
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+			name, procs = name[:i], name[i+1:]
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Bench{}, false
+		return Bench{}, "", false
 	}
 	b := Bench{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 	// The remainder alternates value/unit pairs.
@@ -140,7 +158,7 @@ func parseBench(line string) (Bench, bool) {
 	if len(b.Metrics) == 0 {
 		b.Metrics = nil
 	}
-	return b, true
+	return b, procs, true
 }
 
 // speedups derives "<base>/<size>: full ns / delta ns" ratios for every

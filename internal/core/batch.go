@@ -11,12 +11,12 @@ import (
 // scores each row with the kind's exact single-row core — the same
 // segmentCost/segmentFitness dispatch the genome scorer runs per machine
 // (cdd.CostArrays or cdd.OptimizeArrays, ucddcp.OptimizeArrays,
-// earlywork.CostArrays) — over the hoisted SoA columns and one set of
-// scratch rows. Costs and abstract op counts are therefore bit-identical
-// to the per-sequence path by construction: the invariant every consumer
-// (the ensemble runtime's per-chain scoring, the cudasim fitness kernel,
-// DPSO's population evaluation) relies on and the verify oracle chain
-// enforces.
+// earlywork.CostArrays) — over the hoisted SoA columns and one
+// completion-time scratch row. Costs and abstract op counts are therefore
+// bit-identical to the per-sequence path by construction: the invariant
+// every consumer (the ensemble runtime's per-chain scoring, the cudasim
+// fitness kernel, DPSO's population evaluation) relies on and the verify
+// oracle chain enforces.
 
 // SoAInstance is a structure-of-arrays snapshot of one instance's job
 // parameters: every per-job column widened to int64 and packed into a
@@ -82,9 +82,8 @@ func (s *SoAInstance) genomeCoded() bool {
 type BatchEvaluator struct {
 	in  *problem.Instance
 	soa *SoAInstance
-	// comp is the completion-time scratch row (n); aux is the UCDDCP
-	// compression phase's early-side buffer (n, nil for CDD).
-	comp, aux []int64
+	// comp is the completion-time scratch row (n).
+	comp []int64
 }
 
 // NewBatchEvaluator snapshots the instance and returns a batch evaluator
@@ -97,11 +96,7 @@ func NewBatchEvaluator(in *problem.Instance) *BatchEvaluator {
 // snapshot, so many evaluators (one per goroutine) can share one hoisted
 // copy of the instance data.
 func NewBatchEvaluatorSoA(in *problem.Instance, soa *SoAInstance) *BatchEvaluator {
-	e := &BatchEvaluator{in: in, soa: soa, comp: make([]int64, soa.N)}
-	if soa.Kind == problem.UCDDCP {
-		e.aux = make([]int64, soa.N)
-	}
-	return e
+	return &BatchEvaluator{in: in, soa: soa, comp: make([]int64, soa.N)}
 }
 
 // BatchEvaluatorFor adapts an existing evaluator to the batch API:
@@ -124,7 +119,7 @@ func (e *BatchEvaluator) SoA() *SoAInstance { return e.soa }
 // seq is a delimiter genome and the cost is the sum of per-machine
 // segment costs.
 func (e *BatchEvaluator) Cost(seq []int) int64 {
-	return rowCost(seq, e.soa, e.comp, e.aux)
+	return rowCost(seq, e.soa, e.comp)
 }
 
 // CostRows scores B = len(costs) sequences stored row-major in rows
@@ -132,12 +127,12 @@ func (e *BatchEvaluator) Cost(seq []int) int64 {
 // pipeline keeps its population in. The row stride is the genome length
 // L (equal to N on single-machine instances).
 func (e *BatchEvaluator) CostRows(rows []int, costs []int64) {
-	costRows(rows, e.soa, e.comp, e.aux, costs)
+	costRows(rows, e.soa, e.comp, costs)
 }
 
 // CostRows32 is CostRows for int32 rows (the device sequence layout).
 func (e *BatchEvaluator) CostRows32(rows []int32, costs []int64) {
-	costRows(rows, e.soa, e.comp, e.aux, costs)
+	costRows(rows, e.soa, e.comp, costs)
 }
 
 // CostSeqs scores seqs[i] into costs[i] (len(costs) = len(seqs)) without
@@ -158,26 +153,26 @@ func (e *BatchEvaluator) FitnessRows32(rows []int32, costs []int64, ops []int) {
 	for i := range costs {
 		row := rows[i*s.L : (i+1)*s.L]
 		if s.genomeCoded() {
-			costs[i], ops[i] = GenomeFitnessArrays(row, s, e.comp, e.aux)
+			costs[i], ops[i] = GenomeFitnessArrays(row, s, e.comp)
 		} else {
-			costs[i], ops[i] = segmentFitness(row, s, e.comp, e.aux)
+			costs[i], ops[i] = segmentFitness(row, s, e.comp)
 		}
 	}
 }
 
 // costRows is the row loop shared by the []int and []int32 faces.
-func costRows[S cdd.Index](rows []S, s *SoAInstance, comp, aux, costs []int64) {
+func costRows[S cdd.Index](rows []S, s *SoAInstance, comp, costs []int64) {
 	for i := range costs {
-		costs[i] = rowCost(rows[i*s.L:(i+1)*s.L], s, comp, aux)
+		costs[i] = rowCost(rows[i*s.L:(i+1)*s.L], s, comp)
 	}
 }
 
 // rowCost scores one row: a delimiter genome on genome-coded snapshots,
 // otherwise the whole row is the single machine's sequence. Indices
 // outside [0, N) panic in the kernels' bounds checks.
-func rowCost[S cdd.Index](row []S, s *SoAInstance, comp, aux []int64) int64 {
+func rowCost[S cdd.Index](row []S, s *SoAInstance, comp []int64) int64 {
 	if s.genomeCoded() {
-		return GenomeCostArrays(row, s, comp, aux)
+		return GenomeCostArrays(row, s, comp)
 	}
-	return segmentCost(row, s, comp, aux)
+	return segmentCost(row, s, comp)
 }

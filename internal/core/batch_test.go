@@ -54,8 +54,7 @@ func singleFitness(be *BatchEvaluator, seq []int) (int64, int) {
 	s := be.SoA()
 	comp := make([]int64, s.N)
 	if s.Kind == problem.UCDDCP {
-		scratch := make([]int64, s.N)
-		c, _, _, ops := ucddcp.OptimizeArrays(seq, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp, scratch, nil)
+		c, _, _, ops := ucddcp.OptimizeArrays(seq, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp, nil)
 		return c, ops
 	}
 	c, _, _, ops := cdd.OptimizeArrays(seq, s.P, s.Alpha, s.Beta, s.D, comp)

@@ -19,17 +19,16 @@ import (
 // them on the pre-generalization kernels, bit-identical by construction.
 
 // GenomeCostArrays returns the total cost of a delimiter genome over the
-// snapshot: the sum of per-machine segment costs. comp and aux are
-// caller-provided scratch of length ≥ s.N (aux may be nil for non-UCDDCP
-// kinds).
-func GenomeCostArrays[S cdd.Index](seq []S, s *SoAInstance, comp, aux []int64) int64 {
+// snapshot: the sum of per-machine segment costs. comp is
+// caller-provided scratch of length ≥ s.N.
+func GenomeCostArrays[S cdd.Index](seq []S, s *SoAInstance, comp []int64) int64 {
 	var total int64
 	lo := 0
 	for i := 0; i <= len(seq); i++ {
 		if i < len(seq) && int(seq[i]) < s.N {
 			continue
 		}
-		total += segmentCost(seq[lo:i], s, comp, aux)
+		total += segmentCost(seq[lo:i], s, comp)
 		lo = i + 1
 	}
 	return total
@@ -38,13 +37,13 @@ func GenomeCostArrays[S cdd.Index](seq []S, s *SoAInstance, comp, aux []int64) i
 // GenomeFitnessArrays is GenomeCostArrays with the abstract operation
 // count the simulated GPU converts into cycle charges (the sum of the
 // per-segment kernel counts plus one op per separator scan).
-func GenomeFitnessArrays[S cdd.Index](seq []S, s *SoAInstance, comp, aux []int64) (cost int64, ops int) {
+func GenomeFitnessArrays[S cdd.Index](seq []S, s *SoAInstance, comp []int64) (cost int64, ops int) {
 	lo := 0
 	for i := 0; i <= len(seq); i++ {
 		if i < len(seq) && int(seq[i]) < s.N {
 			continue
 		}
-		c, o := segmentFitness(seq[lo:i], s, comp, aux)
+		c, o := segmentFitness(seq[lo:i], s, comp)
 		cost += c
 		ops += o + 1
 		lo = i + 1
@@ -54,13 +53,13 @@ func GenomeFitnessArrays[S cdd.Index](seq []S, s *SoAInstance, comp, aux []int64
 
 // segmentCost scores one machine's job run with the kind's exact
 // single-machine core.
-func segmentCost[S cdd.Index](seg []S, s *SoAInstance, comp, aux []int64) int64 {
+func segmentCost[S cdd.Index](seg []S, s *SoAInstance, comp []int64) int64 {
 	if len(seg) == 0 {
 		return 0
 	}
 	switch s.Kind {
 	case problem.UCDDCP:
-		c, _, _, _ := ucddcp.OptimizeArrays(seg, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp[:len(seg)], aux[:len(seg)], nil)
+		c, _, _, _ := ucddcp.OptimizeArrays(seg, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp[:len(seg)], nil)
 		return c
 	case problem.EARLYWORK:
 		return earlywork.CostArrays(seg, s.P, s.D)
@@ -70,13 +69,13 @@ func segmentCost[S cdd.Index](seg []S, s *SoAInstance, comp, aux []int64) int64 
 }
 
 // segmentFitness is segmentCost with the kernel's abstract op count.
-func segmentFitness[S cdd.Index](seg []S, s *SoAInstance, comp, aux []int64) (int64, int) {
+func segmentFitness[S cdd.Index](seg []S, s *SoAInstance, comp []int64) (int64, int) {
 	if len(seg) == 0 {
 		return 0, 0
 	}
 	switch s.Kind {
 	case problem.UCDDCP:
-		c, _, _, o := ucddcp.OptimizeArrays(seg, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp[:len(seg)], aux[:len(seg)], nil)
+		c, _, _, o := ucddcp.OptimizeArrays(seg, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp[:len(seg)], nil)
 		return c, o
 	case problem.EARLYWORK:
 		return earlywork.FitnessArrays(seg, s.P, s.D)
@@ -113,14 +112,13 @@ func GenomeSchedule(in *problem.Instance, genome []int) problem.Schedule {
 		x = make([]int64, s.N)
 	}
 	comp := make([]int64, s.N)
-	aux := make([]int64, s.N)
 	for k, seg := range segs {
 		if len(seg) == 0 {
 			continue
 		}
 		switch in.Kind {
 		case problem.UCDDCP:
-			_, start, _, _ := ucddcp.OptimizeArrays(seg, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp[:len(seg)], aux[:len(seg)], x)
+			_, start, _, _ := ucddcp.OptimizeArrays(seg, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp[:len(seg)], x)
 			starts[k] = start
 		case problem.EARLYWORK:
 			// Late work is minimized by starting at 0.

@@ -67,11 +67,10 @@ func TestGenomeCostMatchesSchedule(t *testing.T) {
 		in := genInstance(t, r, kind, n, m)
 		s := NewSoAInstance(in)
 		comp := make([]int64, s.N)
-		aux := make([]int64, s.N)
 		genome := randomGenome(r, in.GenomeLen())
 
-		got := GenomeCostArrays(genome, s, comp, aux)
-		fit, ops := GenomeFitnessArrays(genome, s, comp, aux)
+		got := GenomeCostArrays(genome, s, comp)
+		fit, ops := GenomeFitnessArrays(genome, s, comp)
 		if fit != got {
 			t.Fatalf("%s m=%d: fitness %d != cost %d", kind, m, fit, got)
 		}
@@ -135,7 +134,7 @@ func TestMachineDeltaMatchesFull(t *testing.T) {
 				}
 			}
 			got := e.Propose(cand, positions)
-			want := GenomeCostArrays(cand, e.soa, make([]int64, n), make([]int64, n))
+			want := GenomeCostArrays(cand, e.soa, make([]int64, n))
 			if got != want {
 				t.Fatalf("%s m=%d step %d: Propose %d != full %d\nbase %v\ncand %v (positions %v)",
 					kind, m, step, got, want, base, cand, positions)

@@ -22,8 +22,8 @@ import "repro/internal/problem"
 type MachineDeltaEvaluator struct {
 	in  *problem.Instance
 	soa *SoAInstance
-	// comp/aux are the single-machine kernels' scratch (length N).
-	comp, aux []int64
+	// comp is the single-machine kernels' scratch (length N).
+	comp []int64
 
 	base    []int   // committed genome
 	segCost []int64 // committed per-machine segment costs
@@ -51,7 +51,7 @@ type MachineDeltaEvaluator struct {
 // genome.
 func NewMachineDeltaEvaluator(in *problem.Instance) *MachineDeltaEvaluator {
 	soa := NewSoAInstance(in)
-	e := &MachineDeltaEvaluator{
+	return &MachineDeltaEvaluator{
 		in:         in,
 		soa:        soa,
 		comp:       make([]int64, soa.N),
@@ -63,10 +63,6 @@ func NewMachineDeltaEvaluator(in *problem.Instance) *MachineDeltaEvaluator {
 		pSepRank:   make([]int, soa.Machines-1),
 		pWin:       make([]int, soa.L),
 	}
-	if soa.Kind == problem.UCDDCP {
-		e.aux = make([]int64, soa.N)
-	}
-	return e
 }
 
 // Instance implements Evaluator.
@@ -75,7 +71,7 @@ func (e *MachineDeltaEvaluator) Instance() *problem.Instance { return e.in }
 // Cost implements Evaluator: a stateless full genome evaluation that
 // never disturbs the committed cache.
 func (e *MachineDeltaEvaluator) Cost(seq []int) int64 {
-	return GenomeCostArrays(seq, e.soa, e.comp, e.aux)
+	return GenomeCostArrays(seq, e.soa, e.comp)
 }
 
 // Reset caches seq as the committed base genome and returns its cost.
@@ -91,14 +87,14 @@ func (e *MachineDeltaEvaluator) Reset(seq []int) int64 {
 		if i == len(e.base) || e.base[i] < n {
 			continue
 		}
-		c := segmentCost(e.base[lo:i], e.soa, e.comp, e.aux)
+		c := segmentCost(e.base[lo:i], e.soa, e.comp)
 		e.segCost[k] = c
 		e.total += c
 		e.sepRank[k] = i
 		k++
 		lo = i + 1
 	}
-	c := segmentCost(e.base[lo:], e.soa, e.comp, e.aux)
+	c := segmentCost(e.base[lo:], e.soa, e.comp)
 	e.segCost[k] = c
 	e.total += c
 	return e.total
@@ -137,7 +133,7 @@ func (e *MachineDeltaEvaluator) Propose(cand []int, positions []int) int64 {
 	i, segStart, k := start, start, segLo
 	for {
 		if i == len(cand) || cand[i] >= n {
-			c := segmentCost(cand[segStart:i], e.soa, e.comp, e.aux)
+			c := segmentCost(cand[segStart:i], e.soa, e.comp)
 			e.pSeg[k] = c
 			delta += c - e.segCost[k]
 			if i < len(cand) {

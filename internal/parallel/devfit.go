@@ -29,9 +29,10 @@ func fitnessCDDArrays(seq []int32, p, alpha, beta []int64, d int64, comp []int64
 
 // fitnessUCDDCPArrays returns the optimal UCDDCP penalty of the sequence:
 // the CDD phase over the uncompressed processing times followed by the
-// all-or-nothing compression phase of Section IV-B. comp and scratch are
-// caller-provided length-n scratch.
-func fitnessUCDDCPArrays(seq []int32, p, m, alpha, beta, gamma []int64, d int64, comp, scratch []int64) (cost int64, ops int) {
-	cost, _, _, ops = ucddcp.OptimizeArrays(seq, p, m, alpha, beta, gamma, d, comp, scratch, nil)
+// all-or-nothing compression phase of Section IV-B. comp is
+// caller-provided length-n scratch (touched only in the degenerate
+// no-due-job case).
+func fitnessUCDDCPArrays(seq []int32, p, m, alpha, beta, gamma []int64, d int64, comp []int64) (cost int64, ops int) {
+	cost, _, _, ops = ucddcp.OptimizeArrays(seq, p, m, alpha, beta, gamma, d, comp, nil)
 	return cost, ops
 }

@@ -121,13 +121,12 @@ func TestDeviceHostFitnessDifferentialUCDDCP(t *testing.T) {
 		seq := problem.IdentitySequence(n)
 		seq32 := make([]int32, n)
 		comp := make([]int64, n)
-		scratch := make([]int64, n)
 		for s := 0; s < 6; s++ {
 			rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 			for i, v := range seq {
 				seq32[i] = int32(v)
 			}
-			dev, _ := fitnessUCDDCPArrays(seq32, p, m, alpha, beta, gamma, in.D, comp, scratch)
+			dev, _ := fitnessUCDDCPArrays(seq32, p, m, alpha, beta, gamma, in.D, comp)
 			if hc := host.Cost(seq); dev != hc {
 				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
 					trial, dev, hc, in.D, in.Jobs, seq)

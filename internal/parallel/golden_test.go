@@ -93,3 +93,22 @@ func TestGoldenFixedSeedResults(t *testing.T) {
 		})
 	}
 }
+
+// goldenSimSecondsUCDDCP is the simulated device time of the fixed-seed
+// GPUSA UCDDCP n=40 run below, captured from the seven-pass UCDDCP core
+// that preceded the forward-sweep one. The fitness kernel charges cycles
+// from ucddcp.OptimizeArrays' abstract op count, so any drift in that
+// count moves this value.
+const goldenSimSecondsUCDDCP = 0.0029333994193548488
+
+// TestGoldenSimSecondsUCDDCP pins the simulated device time of one
+// fixed-seed GPUSA UCDDCP run exactly.
+func TestGoldenSimSecondsUCDDCP(t *testing.T) {
+	r, err := (&GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6}).Solve(context.Background(), benchInstanceUCDDCP(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.SimSeconds != goldenSimSecondsUCDDCP {
+		t.Errorf("SimSeconds = %v, want %v", r.SimSeconds, goldenSimSecondsUCDDCP)
+	}
+}

@@ -123,7 +123,6 @@ type pipeline struct {
 	// Per-thread local state modelling registers/local memory.
 	rngs     []*xrand.XORWOW
 	comp     [][]int64
-	aux      [][]int64 // second scratch row (UCDDCP)
 	pLocal   [][]int64 // texture-mode staging of processing times
 	texCache []cudasim.TexCache
 
@@ -182,11 +181,9 @@ func newPipeline(dev *cudasim.Device, inst *problem.Instance, grid, block int, c
 
 	pl.rngs = make([]*xrand.XORWOW, pl.threads)
 	pl.comp = make([][]int64, pl.threads)
-	pl.aux = make([][]int64, pl.threads)
 	for t := 0; t < pl.threads; t++ {
 		pl.rngs[t] = xrand.NewStream(seed, uint64(t))
 		pl.comp[t] = make([]int64, n)
-		pl.aux[t] = make([]int64, n)
 	}
 	return pl
 }

@@ -175,12 +175,12 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 					// Genome-coded row: machine-aware scoring through the
 					// shared genome core (bit-identical to the four-kernel
 					// pipeline's batch path on the same row).
-					cost, ops = core.GenomeFitnessArrays(row, pl.soa, pl.comp[tid], pl.aux[tid])
+					cost, ops = core.GenomeFitnessArrays(row, pl.soa, pl.comp[tid])
 					if pl.inst.Kind == problem.UCDDCP {
 						c.ChargeGlobal(2*n, true)
 					}
 				case pl.inst.Kind == problem.UCDDCP:
-					cost, ops = fitnessUCDDCPArrays(row, pArr, pl.mBuf.Raw(), shA, shB, pl.gammaBuf.Raw(), d, pl.comp[tid], pl.aux[tid])
+					cost, ops = fitnessUCDDCPArrays(row, pArr, pl.mBuf.Raw(), shA, shB, pl.gammaBuf.Raw(), d, pl.comp[tid])
 					c.ChargeGlobal(2*n, true)
 				default:
 					cost, ops = fitnessCDDArrays(row, pArr, shA, shB, d, pl.comp[tid])

@@ -101,8 +101,7 @@ func TestDeviceFitnessParityUCDDCP(t *testing.T) {
 			p[i], m[i], a[i], b[i], gm[i] = int64(j.P), int64(j.M), int64(j.Alpha), int64(j.Beta), int64(j.Gamma)
 		}
 		comp := make([]int64, n)
-		aux := make([]int64, n)
-		got, _ := fitnessUCDDCPArrays(seq32, p, m, a, b, gm, in.D, comp, aux)
+		got, _ := fitnessUCDDCPArrays(seq32, p, m, a, b, gm, in.D, comp)
 		want := ucddcp.OptimizeSequence(in, seq).Cost
 		if got != want {
 			t.Fatalf("trial %d (n=%d): device fitness %d, host evaluator %d", trial, n, got, want)

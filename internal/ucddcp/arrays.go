@@ -2,112 +2,195 @@ package ucddcp
 
 import "repro/internal/cdd"
 
-// This file holds the array-based generic cores of the two-phase UCDDCP
+// This file holds the array-based generic core of the two-phase UCDDCP
 // linear algorithm, shared verbatim between the host evaluator ([]int
 // sequences) and the simulated GPU fitness kernel ([]int32 rows), so the
-// two cannot drift. The cores are fused: the CDD phase runs inline
-// (carrying only the Σα/Σβ aggregates its breakpoint walk needs), the
-// tardy-side compression applies shifts and accumulates the final penalty
-// inside the decision loop itself, and the early side folds the penalty
-// into its apply sweep — the standalone O(n) final-cost pass of the
-// original implementation is gone.
+// two cannot drift.
+//
+// In the anchored case (due-date position r > 0, which covers every
+// instance with d ≥ ΣP) the core is a few forward sweeps with no scratch
+// row and no stored completion times:
+//
+//  1. Phase 1 splits the uncompressed sequence at τ (the last job
+//     completing by d) exactly as cdd.CostArrays does, carrying only Σα
+//     and Σβ; the breakpoint walk peels processing times off the running
+//     sum. When it stops, its β aggregate is Σβ over positions ≥ r−1, so
+//     the tardy side's benefit sums come for free.
+//  2. Early side (positions < r). Compression keeps every early job at or
+//     before d (M ≥ 1), so a job's earliness is the compressed length of
+//     the jobs after it up to the due-date job, and
+//
+//     Σ α·E = Σ_k (p_k − x_k)·A_k,  A_k = Σ α over positions before k.
+//
+//     A_k is also the benefit of compressing position k, so one sweep
+//     makes each decision and adds its γ and earliness cost.
+//  3. Tardy side (positions ≥ r). Every such job stays tardy, so its
+//     benefit is the running β suffix and its tardiness the running
+//     Σ(p − x) since r.
+//
+// Decisions are written as selects (u = p − m ≥ 0 always, so no u > 0
+// guard is needed), and the per-job compressions are written in a
+// separate pass only when the caller asks for them. Integer arithmetic
+// wraps modulo 2^64 like the per-position sums it regroups, so the
+// regrouped cost is bit-identical to them even on overflow. The op count the
+// simulated device charges is the closed form of the count the original
+// seven-pass formulation accumulated, so every simulated device time is
+// unchanged.
+//
+// The degenerate case r == 0 (restrictive due date or all-zero α, outside
+// the paper's UCDDCP domain) starts at time 0 with no job anchored at d;
+// compression can then pull tardy jobs across the due date, so it keeps
+// the stored completion times and the two-pointer tardy sweep over the
+// still-tardy suffix (unanchoredArrays).
 
 // OptimizeArrays runs the full two-phase algorithm on primitive parameter
-// arrays (indexed by job id). comp and scratch are caller-provided
-// length-n scratch; on return comp holds the final (shifted, compressed)
-// completion times. x, when non-nil, must be zeroed length-n storage
-// indexed by job id and receives the per-job compressions (the device
-// kernel passes nil). The returned ops is the abstract operation count the
-// simulated device converts into cycle charges.
-func OptimizeArrays[S cdd.Index](seq []S, p, m, alpha, beta, gamma []int64, d int64, comp, scratch, x []int64) (cost, start int64, dueJob, ops int) {
+// arrays indexed by job id. The other columns must be as long as p: the
+// sweeps reslice them to len(p), so each job costs one bounds check, not
+// one per column. comp is caller-provided scratch of length ≥ len(seq),
+// used only in the degenerate r == 0 case. x, when non-nil, is storage
+// indexed by job id and receives the compression of every job in seq
+// (zero included); the device kernel passes nil. The returned ops is the
+// abstract operation count the simulated device converts into cycle
+// charges.
+func OptimizeArrays[S cdd.Index](seq []S, p, m, alpha, beta, gamma []int64, d int64, comp, x []int64) (cost, start int64, dueJob, ops int) {
 	n := len(seq)
+	alpha, beta = alpha[:len(p)], beta[:len(p)]
 
-	// Phase 1: CDD timing of the uncompressed sequence. Only the due-date
-	// position r and the resulting shift are needed downstream, so the walk
-	// carries just the Σα/Σβ aggregates.
-	var t int64
-	tau := 0
-	var a, b int64
-	for pos, job := range seq {
-		t += p[job]
-		comp[pos] = t
-		if t <= d {
-			tau = pos + 1
-			a += alpha[job]
-		} else {
-			b += beta[job]
+	// Phase 1: CDD timing of the uncompressed sequence, split at τ.
+	var t, a, b int64
+	i := 0
+	for ; i < n; i++ {
+		j := seq[i]
+		t += p[j]
+		if t > d {
+			break
+		}
+		a += alpha[j]
+	}
+	tau := i
+	cm := t // completion of the last early job once the tardy head is removed
+	if i < n {
+		cm = t - p[seq[i]]
+		for ; i < n; i++ {
+			b += beta[seq[i]]
 		}
 	}
-	ops = 6 * n
-	r := 0
-	var shiftAll int64
-	if tau > 0 && !(comp[tau-1] < d && b >= a) {
-		r = tau
-		a -= alpha[seq[r-1]]
-		b += beta[seq[r-1]]
-		for r > 1 && a > b {
-			r--
-			a -= alpha[seq[r-1]]
-			b += beta[seq[r-1]]
-			ops += 4
-		}
-		shiftAll = d - comp[r-1]
-	}
-	if shiftAll != 0 {
-		for pos := range comp[:n] {
-			comp[pos] += shiftAll
-		}
-		ops += n
+	if tau == 0 || (cm < d && b >= a) {
+		return unanchoredArrays(seq, p, m, alpha, beta, gamma, d, tau, b, comp, x), 0, 0, 18 * n
 	}
 
-	cost, x0, cops := compressArrays(seq, p, m, alpha, beta, gamma, d, r, comp, scratch, x)
-	ops += cops
-	start = comp[0] - (p[seq[0]] - x0)
-	return cost, start, r, ops
+	// Breakpoint walk: position r (1-based) completes at d. Entering the
+	// loop, r = τ moves from the early to the tardy aggregates.
+	r := tau
+	jb := seq[r-1]
+	a -= alpha[jb]
+	b += beta[jb]
+	for r > 1 && a > b {
+		cm -= p[jb]
+		r--
+		jb = seq[r-1]
+		a -= alpha[jb]
+		b += beta[jb]
+	}
+	// b is now Σβ over positions ≥ r−1 and cm = Σp over positions < r.
+	ops = 18*n - r + 4*(tau-r)
+	if cm != d {
+		ops += n // the op-count model charges shifting all n completions
+	}
+
+	early, ce := earlySweep(seq[:r], p, m, alpha, gamma)
+	cost = ce + tardySweep(seq[r:], p, m, beta, gamma, b-beta[jb])
+
+	if x != nil {
+		var ap int64
+		for _, j := range seq[:r] {
+			var xe int64
+			if ap > gamma[j] {
+				xe = p[j] - m[j]
+			}
+			x[j] = xe
+			ap += alpha[j]
+		}
+		sb := b - beta[jb]
+		for _, j := range seq[r:] {
+			var xt int64
+			if sb > gamma[j] {
+				xt = p[j] - m[j]
+			}
+			x[j] = xt
+			sb -= beta[j]
+		}
+	}
+	return cost, d - early, r, ops
 }
 
-// compressArrays runs the all-or-nothing compression phase (Section IV-B)
-// over comp, which must hold the phase-1 completion times with the optimal
-// CDD shift already applied; r is the 1-based due-date position (0 in the
-// degenerate no-due-job case). It returns the exact total objective value
-// Σ α·E + β·T + γ·X of the schedule it builds — penalties are accumulated
-// inside the apply sweeps — together with the compression of the job at
-// position 0 (which the caller needs for the start time). scratch is
-// length-n; x is as in OptimizeArrays. On return comp holds the final
-// completion times.
-func compressArrays[S cdd.Index](seq []S, p, m, alpha, beta, gamma []int64, d int64, r int, comp, scratch, x []int64) (cost, x0 int64, ops int) {
-	n := len(seq)
+// earlySweep prices the early side of the anchored case, positions
+// 0..r-1 in seq: each position is compressed when the α-prefix before it
+// exceeds its γ, and its compressed length (p − x) is charged once per
+// unit of that prefix (Σ α·E = Σ (p − x)·A). It returns the side's cost
+// and the total compressed length, which places the schedule's start.
+func earlySweep[S cdd.Index](seq []S, p, m, alpha, gamma []int64) (early, cost int64) {
+	m, alpha, gamma = m[:len(p)], alpha[:len(p)], gamma[:len(p)]
+	var ap int64
+	for _, j := range seq {
+		var xe int64
+		if ap > gamma[j] {
+			xe = p[j] - m[j]
+		}
+		pe := p[j] - xe
+		cost += gamma[j]*xe + pe*ap
+		early += pe
+		ap += alpha[j]
+	}
+	return early, cost
+}
 
-	// Tardy side — ascending sweep over positions r..n-1. Invariants at
-	// cursor pos: shift = Σ compressions decided at positions < pos (plus
-	// pos itself once decided); positions q < pos already hold their final
-	// completion in comp[q], positions q ≥ pos currently complete at
-	// comp[q]−shift; tp = smallest position whose current completion
-	// exceeds d (the still-tardy set, completions strictly increasing);
-	// sbPos/sbTp = Σ β over positions ≥ pos resp. ≥ tp. The shift is
-	// applied to comp[pos] immediately after the decision — shAcc[pos] of
-	// the two-pass formulation is exactly the shift at that moment — and
-	// the position's final penalty is folded in right there.
+// tardySweep prices the tardy side of the anchored case, positions r..n-1
+// in seq, given sb = Σβ over them: each position is compressed when the β
+// suffix from it exceeds its γ, and its tardiness is the running
+// compressed length since r.
+func tardySweep[S cdd.Index](seq []S, p, m, beta, gamma []int64, sb int64) (cost int64) {
+	m, beta, gamma = m[:len(p)], beta[:len(p)], gamma[:len(p)]
+	var tard int64
+	for _, j := range seq {
+		var xt int64
+		if sb > gamma[j] {
+			xt = p[j] - m[j]
+		}
+		tard += p[j] - xt
+		cost += gamma[j]*xt + beta[j]*tard
+		sb -= beta[j]
+	}
+	return cost
+}
+
+// unanchoredArrays is the compression phase of the degenerate r == 0
+// case: the schedule starts at time 0, positions before tau complete by d
+// and bTardy is Σβ over positions ≥ tau. It returns the exact objective
+// Σ α·E + β·T + γ·X of the schedule it builds, writing x as
+// OptimizeArrays does.
+//
+// Every position is decided like a tardy job: compressing it pulls the
+// whole suffix left, and the benefit is the β-sum of the jobs that are
+// still tardy among positions ≥ max(pos, tp), where tp is the first
+// position whose current completion exceeds d. Here compression can pull
+// a tardy job across d, so comp holds each position's completion time
+// (final once decided) and tp advances as the suffix moves left.
+func unanchoredArrays[S cdd.Index](seq []S, p, m, alpha, beta, gamma []int64, d int64, tau int, bTardy int64, comp, x []int64) (cost int64) {
+	n := len(seq)
+	var t, sbPos int64
+	for pos, j := range seq {
+		t += p[j]
+		comp[pos] = t
+		sbPos += beta[j]
+	}
+	tp, sbTp := tau, bTardy
 	var shift int64
-	tp := r
-	var sbTp int64
-	for q := tp; q < n; q++ {
-		sbTp += beta[seq[q]]
-	}
-	for tp < n && comp[tp] <= d { // only reachable when r == 0
-		sbTp -= beta[seq[tp]]
-		tp++
-	}
-	sbPos := sbTp
-	for q := tp - 1; q >= r; q-- {
-		sbPos += beta[seq[q]]
-	}
-	ops = 2 * (n - r)
-	for pos := r; pos < n; pos++ {
+	for pos, j := range seq {
 		for tp < n {
 			cur := comp[tp] // tp < pos: already final
 			if tp >= pos {
-				cur = comp[tp] - shift
+				cur -= shift
 			}
 			if cur > d {
 				break
@@ -115,75 +198,26 @@ func compressArrays[S cdd.Index](seq []S, p, m, alpha, beta, gamma []int64, d in
 			sbTp -= beta[seq[tp]]
 			tp++
 		}
-		job := seq[pos]
-		u := p[job] - m[job]
-		if u > 0 {
-			// Compressing position pos shifts positions ≥ pos left; the
-			// benefiting jobs are the still-tardy ones among them, i.e.
-			// positions ≥ max(pos, tp).
-			benefit := sbPos
-			if tp > pos {
-				benefit = sbTp
-			}
-			if benefit > gamma[job] {
-				shift += u
-				cost += gamma[job] * u
-				if x != nil {
-					x[job] = u
-				}
-				if pos == 0 {
-					x0 = u
-				}
-			}
+		benefit := sbPos
+		if tp > pos {
+			benefit = sbTp
 		}
+		var xt int64
+		if benefit > gamma[j] {
+			xt = p[j] - m[j]
+		}
+		if x != nil {
+			x[j] = xt
+		}
+		shift += xt
+		cost += gamma[j] * xt
 		comp[pos] -= shift
-		c := comp[pos]
-		if c < d {
-			cost += alpha[job] * (d - c)
+		if c := comp[pos]; c < d {
+			cost += alpha[j] * (d - c)
 		} else {
-			cost += beta[job] * (c - d)
+			cost += beta[j] * (c - d)
 		}
-		sbPos -= beta[job]
-		ops += 10
+		sbPos -= beta[j]
 	}
-
-	// Early side — positions 0..r-1. Compressing the job at position pos
-	// keeps its completion fixed and pushes positions 0..pos-1 right, so
-	// the benefit is the α-sum of the preceding positions, independent of
-	// other early compressions. Decisions sweep forward recording each
-	// position's compression in scratch; the apply sweep walks backward
-	// accumulating the right-shift and folding in the final penalties.
-	var aPrefix int64
-	for pos := 0; pos < r; pos++ {
-		job := seq[pos]
-		u := p[job] - m[job]
-		xe := int64(0)
-		if u > 0 && aPrefix > gamma[job] {
-			xe = u
-			cost += gamma[job] * u
-			if x != nil {
-				x[job] = u
-			}
-			if pos == 0 {
-				x0 = u
-			}
-		}
-		scratch[pos] = xe
-		aPrefix += alpha[job]
-		ops += 5
-	}
-	var rightShift int64
-	for pos := r - 1; pos >= 0; pos-- {
-		comp[pos] += rightShift
-		rightShift += scratch[pos]
-		job := seq[pos]
-		c := comp[pos]
-		if c < d {
-			cost += alpha[job] * (d - c)
-		} else {
-			cost += beta[job] * (c - d)
-		}
-		ops += 6
-	}
-	return cost, x0, ops
+	return cost
 }

@@ -181,11 +181,10 @@ func TestDeltaInt32Parity(t *testing.T) {
 		in := ucddcp.RandomInstance(rng, n, 5)
 		p, m, alpha, beta, gamma := ucddcp.ParamArrays(in)
 		comp := make([]int64, n)
-		scratch64 := make([]int64, n)
 		eval := func(seq []int, seq32 []int32) (host, dev [4]int64) {
-			c, s, r, o := ucddcp.OptimizeArrays(seq, p, m, alpha, beta, gamma, in.D, comp, scratch64, nil)
+			c, s, r, o := ucddcp.OptimizeArrays(seq, p, m, alpha, beta, gamma, in.D, comp, nil)
 			host = [4]int64{c, s, int64(r), int64(o)}
-			c, s, r, o = ucddcp.OptimizeArrays(seq32, p, m, alpha, beta, gamma, in.D, comp, scratch64, nil)
+			c, s, r, o = ucddcp.OptimizeArrays(seq32, p, m, alpha, beta, gamma, in.D, comp, nil)
 			dev = [4]int64{c, s, int64(r), int64(o)}
 			return host, dev
 		}

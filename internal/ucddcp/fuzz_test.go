@@ -9,10 +9,14 @@ import (
 	"repro/internal/xrand"
 )
 
-// ucddcpFromBytes decodes a fuzzer payload into a valid UCDDCP instance:
-// five bytes per job (p, m, α, β, γ, with m folded into [1, p] and zero
-// penalties allowed), due date in the unrestricted band [ΣP, 2·ΣP].
-// Returns nil when the payload is too short.
+// ucddcpFromBytes decodes a fuzzer payload into a UCDDCP instance: five
+// bytes per job (p, m, α, β, γ, with m folded into [1, p] and zero
+// penalties allowed) and due date d = (ΣP + dRaw) mod (2·ΣP + 1), which
+// covers [0, 2·ΣP] and maps small dRaw into the unrestricted band
+// [ΣP, 2·ΣP]. A d below ΣP is set after construction, because
+// problem.NewUCDDCP rejects restrictive due dates; the evaluators still
+// have to price those schedules exactly. Returns nil when the payload is
+// too short.
 func ucddcpFromBytes(data []byte, dRaw uint64) *problem.Instance {
 	n := len(data) / 5
 	if n < 1 {
@@ -35,18 +39,41 @@ func ucddcpFromBytes(data []byte, dRaw uint64) *problem.Instance {
 		gamma[i] = int(data[5*i+4] % 11)
 		sum += uint64(p[i])
 	}
-	in, err := problem.NewUCDDCP("fuzz", p, m, alpha, beta, gamma, int64(sum+dRaw%(sum+1)))
+	in, err := problem.NewUCDDCP("fuzz", p, m, alpha, beta, gamma, int64(sum))
 	if err != nil {
 		panic(err) // valid by construction
 	}
+	in.D = int64((sum + dRaw%(2*sum+1)) % (2*sum + 1))
 	return in
+}
+
+// referenceLimit bounds the number of compression vectors
+// ReferenceOptimize enumerates per check (Π(P−M+1) over the jobs), so
+// the exhaustive cross-check stays cheap inside the fuzz loop.
+const referenceLimit = 4096
+
+// referenceSize returns Π(P−M+1) over the instance's jobs, capped just
+// above referenceLimit.
+func referenceSize(in *problem.Instance) int {
+	size := 1
+	for _, j := range in.Jobs {
+		size *= j.MaxCompression() + 1
+		if size > referenceLimit {
+			return referenceLimit + 1
+		}
+	}
+	return size
 }
 
 // FuzzUCDDCPDeltaVsFull drives the controllable problem's incremental
 // evaluator (core.NewDeltaEvaluator, whose Propose rescores the candidate
 // with the two-phase core and whose Commit adopts the touched window)
-// through a random walk of swap and segment-reversal moves,
-// cross-checking every proposal against the stateless full pass.
+// through a random walk of swap and segment-reversal moves. Every
+// proposal must match the stateless full pass, and the schedule
+// OptimizeSequence builds for the candidate must start at or after time 0
+// and evaluate, from first principles, to exactly the reported cost. On
+// small unrestricted instances (n ≤ 6, d ≥ ΣP) the cost must also equal
+// the exhaustive optimum of ReferenceOptimize.
 func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 	f.Add([]byte{6, 5, 7, 9, 5, 5, 5, 9, 5, 4, 2, 2, 6, 4, 3, 4, 3, 9, 3, 2, 4, 3, 3, 2, 1}, uint64(1), uint64(1))
 	f.Add([]byte{20, 0, 0, 0, 10, 1, 0, 10, 15, 0}, uint64(5), uint64(9))
@@ -59,6 +86,7 @@ func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 		rng := xrand.New(seed | 1)
 		dl := core.NewDeltaEvaluator(in)
 		full := ucddcp.NewEvaluator(in)
+		checkRef := n <= 6 && in.D >= in.SumP() && referenceSize(in) <= referenceLimit
 		base := problem.IdentitySequence(n)
 		if got, want := dl.Reset(base), full.Cost(base); got != want {
 			t.Fatalf("Reset=%d, full=%d on identity", got, want)
@@ -81,9 +109,25 @@ func FuzzUCDDCPDeltaVsFull(f *testing.F) {
 					pos = append(pos, k)
 				}
 			}
-			if got, want := dl.Propose(cand, pos), full.Cost(cand); got != want {
+			cost := full.Cost(cand)
+			if got := dl.Propose(cand, pos); got != cost {
 				t.Fatalf("step %d: Propose=%d, full=%d (d=%d base=%v cand=%v pos=%v)",
-					step, got, want, in.D, base, cand, pos)
+					step, got, cost, in.D, base, cand, pos)
+			}
+			res := ucddcp.OptimizeSequence(in, cand)
+			if res.Cost != cost || res.Start < 0 {
+				t.Fatalf("step %d: OptimizeSequence cost=%d start=%d, full=%d (d=%d cand=%v)",
+					step, res.Cost, res.Start, cost, in.D, cand)
+			}
+			if sc := problem.SequenceCost(in, cand, res.Start, res.X); sc != cost {
+				t.Fatalf("step %d: schedule evaluates to %d, core reports %d (d=%d cand=%v start=%d x=%v)",
+					step, sc, cost, in.D, cand, res.Start, res.X)
+			}
+			if checkRef {
+				if ref := ucddcp.ReferenceOptimize(in, cand); ref.Cost != cost {
+					t.Fatalf("step %d: core %d, exhaustive optimum %d (jobs=%+v d=%d cand=%v x=%v)",
+						step, cost, ref.Cost, in.Jobs, in.D, cand, res.X)
+				}
 			}
 			if rng.Intn(2) == 0 {
 				dl.Commit()

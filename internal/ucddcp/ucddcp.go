@@ -26,12 +26,23 @@
 // position q > r is d + Σ_{k=r+1..q}(P_k−X_k) ≥ d + (q−r)·min M ≥ d+1, so
 // the all-or-nothing rule is exact and the benefit sums are plain suffix
 // sums (confirmed against the exhaustive reference solver in tests). The
-// tardy side nevertheless uses a two-pointer sweep over the still-tardy
-// suffix so that the degenerate r = 0 case (restrictive due date or
-// all-zero α, outside the paper's UCDDCP domain) is also handled
-// gracefully; there the start-time anchor replaces the due-date anchor and
-// consumed tardiness must be tracked. The returned cost is always the
-// exact objective value of the schedule actually constructed.
+// same anchor keeps every early job at or before d, so an early job's
+// earliness is the compressed length of the jobs after it up to r, and
+// the earliness cost regroups as
+//
+//	Σ α·E = Σ_k (P_k − X_k)·A_k,  A_k = Σ α over positions before k,
+//
+// where A_k is also the benefit of compressing position k. OptimizeArrays
+// therefore runs the anchored case as forward sweeps — phase 1 split at τ
+// (its breakpoint walk leaves Σβ over positions ≥ r−1 behind), one early
+// sweep and one tardy sweep that each decide, price γ and add the penalty
+// — with no stored completion times and no scratch row. Only the
+// degenerate r = 0 case (restrictive due date or all-zero α, outside the
+// paper's UCDDCP domain) keeps completion times and a two-pointer sweep
+// over the still-tardy suffix: there the start-time anchor replaces the
+// due-date anchor and compression can pull a tardy job across d. The
+// returned cost is always the exact objective value of the schedule
+// actually constructed.
 package ucddcp
 
 import "repro/internal/problem"
@@ -72,9 +83,8 @@ type Evaluator struct {
 	in *problem.Instance
 	// Job parameters widened to int64 once, indexed by job id.
 	p, m, alpha, beta, gamma []int64
-	comp                     []int64 // completion times by position
+	comp                     []int64 // completion times by position (r == 0 only)
 	x                        []int64 // compression by job id
-	scratch                  []int64 // early-side per-position compressions
 }
 
 // NewEvaluator returns an evaluator for the given instance.
@@ -82,9 +92,8 @@ func NewEvaluator(in *problem.Instance) *Evaluator {
 	p, m, alpha, beta, gamma := ParamArrays(in)
 	return &Evaluator{
 		in: in, p: p, m: m, alpha: alpha, beta: beta, gamma: gamma,
-		comp:    make([]int64, in.N()),
-		x:       make([]int64, in.N()),
-		scratch: make([]int64, in.N()),
+		comp: make([]int64, in.N()),
+		x:    make([]int64, in.N()),
 	}
 }
 
@@ -109,21 +118,21 @@ func ParamArrays(in *problem.Instance) (p, m, alpha, beta, gamma []int64) {
 func (e *Evaluator) Instance() *problem.Instance { return e.in }
 
 // Cost returns only the optimized penalty of the sequence; it is the
-// fitness function used by the metaheuristics.
-func (e *Evaluator) Cost(seq []int) int64 { return e.Optimize(seq).Cost }
+// fitness function used by the metaheuristics. It asks the core for no
+// compressions, so nothing is written per job.
+func (e *Evaluator) Cost(seq []int) int64 {
+	cost, _, _, _ := OptimizeArrays(seq, e.p, e.m, e.alpha, e.beta, e.gamma, e.in.D, e.comp[:len(seq)], nil)
+	return cost
+}
 
-// Optimize runs the two-phase linear algorithm on the sequence, delegating
-// to the fused array core shared with the simulated GPU fitness kernel
-// (see OptimizeArrays): the CDD phase runs inline and the compression
-// sweeps fold the final penalty accumulation into their apply loops, so no
-// standalone cost pass remains. The Result's X slice aliases evaluator
+// Optimize runs the two-phase linear algorithm on the sequence through the
+// array core shared with the simulated GPU fitness kernel (see
+// OptimizeArrays). The core writes the compression of every sequenced
+// job, so X needs no zeroing; the Result's X slice aliases evaluator
 // scratch and is valid until the next call.
 func (e *Evaluator) Optimize(seq []int) Result {
 	n := len(seq)
 	x := e.x[:n]
-	for i := range x {
-		x[i] = 0
-	}
-	cost, start, r, _ := OptimizeArrays(seq, e.p, e.m, e.alpha, e.beta, e.gamma, e.in.D, e.comp[:n], e.scratch[:n], x)
+	cost, start, r, _ := OptimizeArrays(seq, e.p, e.m, e.alpha, e.beta, e.gamma, e.in.D, e.comp[:n], x)
 	return Result{Cost: cost, Start: start, DueJob: r, X: x}
 }

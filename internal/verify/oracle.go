@@ -61,8 +61,7 @@ func genomeEvaluators() []NamedCost {
 		{Name: "core.GenomeCostArrays", Cost: func(in *problem.Instance, seq []int) (int64, error) {
 			s := core.NewSoAInstance(in)
 			comp := make([]int64, s.N)
-			aux := make([]int64, s.N)
-			return core.GenomeCostArrays(seq, s, comp, aux), nil
+			return core.GenomeCostArrays(seq, s, comp), nil
 		}},
 		{Name: "core.Evaluator", Cost: func(in *problem.Instance, seq []int) (int64, error) {
 			return core.NewEvaluator(in).Cost(seq), nil
@@ -216,11 +215,9 @@ func batchFitness32Cost(in *problem.Instance, seq []int) (int64, error) {
 	var wantOps int
 	switch {
 	case in.GenomeCoded():
-		aux := make([]int64, n)
-		wantCost, wantOps = core.GenomeFitnessArrays(seq, s, comp, aux)
+		wantCost, wantOps = core.GenomeFitnessArrays(seq, s, comp)
 	case in.Kind == problem.UCDDCP:
-		scratch := make([]int64, n)
-		wantCost, _, _, wantOps = ucddcp.OptimizeArrays(seq, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp, scratch, nil)
+		wantCost, _, _, wantOps = ucddcp.OptimizeArrays(seq, s.P, s.M, s.Alpha, s.Beta, s.Gamma, s.D, comp, nil)
 	default:
 		wantCost, _, _, wantOps = cdd.OptimizeArrays(seq, s.P, s.Alpha, s.Beta, s.D, comp)
 	}
