@@ -27,10 +27,10 @@ bench:
 
 # Time the metaheuristic hot path and record the numbers as JSON: the
 # full evaluators, the incremental delta evaluators (single-machine and
-# the parallel genome variant) and the batch core, plus one SA chain step
-# over the full and the delta evaluator. The chain-step rows are the ones
-# that decide the CPU SA evaluator: the delta rows of the evaluator
-# benchmarks time Propose only, a chain step also pays for Commit.
+# the parallel genome variant, which no engine drives; they are timed for
+# the verify oracle's and the benchmark module's sake) and the batch
+# core, plus one SA chain step over the full-pass evaluator every SA
+# engine scores with.
 bench-hotpath:
 	( $(GO) test -run '^$$' -bench 'BenchmarkEvaluator(CDD|CDDDelta|UCDDCP|Genome)|BenchmarkBatchEvaluator|BenchmarkChainStep' -benchmem -benchtime 1s . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkServe(Solve|Batch)Allocs' -benchmem -benchtime 2000x ./internal/server/ ) \

@@ -357,7 +357,6 @@ func (s *autoSolver) race(ctx context.Context, in *problem.Instance, dec auto.De
 	if m := s.autoMetrics(res, win.choice.Pairing(), reason, pickWall, res.Elapsed); m != nil {
 		if res.Metrics != nil {
 			// Keep the winning lane's counters; overlay the race accounting.
-			m.DeltaEvaluations = res.Metrics.DeltaEvaluations
 			m.FullEvaluations = res.Metrics.FullEvaluations
 			m.Acceptances = res.Metrics.Acceptances
 			m.Improvements = res.Metrics.Improvements

@@ -456,12 +456,10 @@ func BenchmarkEvaluatorGenomeDelta(b *testing.B) {
 }
 
 // BenchmarkChainStep times one sa.Chain.Step — neighbour, score,
-// metropolis test, cool — over the full O(n) evaluator and over the
-// incremental propose/commit evaluator, on the same trajectories (the
-// two price candidates bit-identically). Chains run the paper's profile:
-// 1000 steps from an estimated T₀, then a fresh chain on the next RNG
-// stream, so the rows average over hot and cold phases and include
-// Commit on every acceptance. Chain construction is untimed.
+// metropolis test, cool — over the full O(n) evaluator every SA engine
+// scores with. Chains run the paper's profile: 1000 steps from an
+// estimated T₀, then a fresh chain on the next RNG stream, so the rows
+// average over hot and cold phases. Chain construction is untimed.
 func BenchmarkChainStep(b *testing.B) {
 	type move struct {
 		name string
@@ -481,35 +479,26 @@ func BenchmarkChainStep(b *testing.B) {
 		{"UCDDCP/n100", func(b *testing.B) *problem.Instance { return benchInstance(b, problem.UCDDCP, 100) }, allMoves[:1]},
 		{"EARLYWORK/m2/n60", func(b *testing.B) *problem.Instance { return benchGenomeInstance(b, problem.EARLYWORK, 60, 2) }, allMoves[:1]},
 	}
-	evaluators := []struct {
-		name string
-		mk   func(*problem.Instance) core.Evaluator
-	}{
-		{"full", core.NewEvaluator},
-		{"delta", func(in *problem.Instance) core.Evaluator { return core.NewDeltaEvaluator(in) }},
-	}
 	const chainLen = 1000
 	for _, c := range cases {
 		for _, mv := range c.moves {
-			for _, ev := range evaluators {
-				b.Run(fmt.Sprintf("%s/%s/%s", c.name, mv.name, ev.name), func(b *testing.B) {
-					in := c.in(b)
-					cfg := sa.DefaultConfig()
-					cfg.Neighborhood = mv.op
-					cfg.T0 = core.InitialTemperature(core.NewEvaluator(in), xrand.New(benchSeed), 500)
-					var chain *sa.Chain
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if i%chainLen == 0 {
-							b.StopTimer()
-							chain = sa.NewChain(cfg, ev.mk(in), xrand.NewStream(benchSeed, uint64(i/chainLen)))
-							b.StartTimer()
-						}
-						chain.Step()
+			b.Run(fmt.Sprintf("%s/%s", c.name, mv.name), func(b *testing.B) {
+				in := c.in(b)
+				cfg := sa.DefaultConfig()
+				cfg.Neighborhood = mv.op
+				cfg.T0 = core.InitialTemperature(core.NewEvaluator(in), xrand.New(benchSeed), 500)
+				var chain *sa.Chain
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%chainLen == 0 {
+						b.StopTimer()
+						chain = sa.NewChain(cfg, core.NewEvaluator(in), xrand.NewStream(benchSeed, uint64(i/chainLen)))
+						b.StartTimer()
 					}
-				})
-			}
+					chain.Step()
+				}
+			})
 		}
 	}
 }

@@ -172,6 +172,58 @@ func TestSolveValidatesInstance(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsCostOverflow: the ensemble and GPU reductions pack a
+// cost and a chain index into one int64, so an instance whose objective
+// can reach problem.CostLimit (2^43) must be rejected before any engine
+// runs. This one's optimum is 91,500,000,000,000 (sequence [0 2 1]);
+// unchecked, cpu-parallel reported 3539069777920 and gpu a negative cost.
+func TestSolveRejectsCostOverflow(t *testing.T) {
+	in := &duedate.Instance{Name: "overflow", Kind: duedate.CDD, D: 0, Jobs: []duedate.Job{
+		{P: 1e6, M: 1e6, Alpha: 1e7, Beta: 1e7},
+		{P: 2e6, M: 2e6, Alpha: 1e7, Beta: 1.2e7},
+		{P: 1.5e6, M: 1.5e6, Alpha: 1e7, Beta: 1.1e7},
+	}}
+	for _, p := range duedate.Pairings() {
+		opts := duedate.Options{Algorithm: p.Algorithm, Engine: p.Engine, Grid: 1, Block: 8, Iterations: 50, TempSamples: 20}
+		if res, err := duedate.SolveContext(context.Background(), in, opts); err == nil {
+			t.Errorf("%v/%v: accepted, BestCost %d", p.Algorithm, p.Engine, res.BestCost)
+		}
+	}
+}
+
+// TestSolveHonestCostBelowLimit: an instance whose objective bound sits
+// just under the limit (Σ max(α, β) = 2^31 − 1 times ΣP = 4096) solves
+// to its exact optimum on the CPU ensemble and the GPU pipeline.
+func TestSolveHonestCostBelowLimit(t *testing.T) {
+	in, err := duedate.NewCDDInstance("below-limit", []int{1024, 2048, 1024},
+		[]int{715827882, 715827883, 715827882}, []int{715827882, 715827883, 715827882}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := int64(-1)
+	for _, seq := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		c, err := duedate.Cost(in, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best < 0 || c < best {
+			best = c
+		}
+	}
+	if best < 1<<42 {
+		t.Fatalf("optimum %d is not near the limit", best)
+	}
+	for _, e := range []duedate.Engine{duedate.EngineCPUParallel, duedate.EngineGPU} {
+		res, err := duedate.Solve(in, duedate.Options{Engine: e, Grid: 1, Block: 8, Iterations: 50, TempSamples: 20})
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		if c, _ := duedate.Cost(in, res.BestSeq); res.BestCost != best || c != best {
+			t.Errorf("%v: BestCost %d for %v (exact cost %d), want the optimum %d", e, res.BestCost, res.BestSeq, c, best)
+		}
+	}
+}
+
 func TestOptimizeSequenceRejections(t *testing.T) {
 	in := duedate.PaperExample(duedate.CDD)
 	if _, _, err := duedate.OptimizeSequence(in, []int{0, 1, 2}); !errors.Is(err, duedate.ErrInvalidSequence) {
@@ -240,6 +292,7 @@ func TestOptionsRejectNegativeGeometry(t *testing.T) {
 		{Grid: -1, Block: 8},
 		{Grid: 1, Block: -8},
 		{Engine: duedate.EngineCPUParallel, Workers: -2},
+		{Grid: 2048, Block: 512},
 	}
 	for _, o := range cases {
 		if _, err := duedate.Solve(in, o); !errors.Is(err, duedate.ErrInvalidOptions) {

@@ -43,11 +43,11 @@ func NewEvaluator(in *problem.Instance) Evaluator {
 // O(n) full pass — and calls Commit exactly when a proposal is accepted.
 // Rejected proposals need no bookkeeping; a new Propose simply replaces
 // the pending one. Propose costs are bit-identical to Cost on the same
-// candidate, so trajectories (and results) are unchanged. A cheaper
-// Propose is not a cheaper search step: Commit can rebuild in O(n), and
-// in every case BenchmarkChainStep measures an SA chain step over
-// NewEvaluator is faster than one over this protocol or within its
-// run-to-run noise, so the CPU SA engines score with NewEvaluator.
+// candidate. No engine drives this protocol: a cheaper Propose is not a
+// cheaper search step (Commit can rebuild in O(n)), and the paper's
+// fitness kernel is the full O(n) pass, so every metaheuristic scores
+// with NewEvaluator. The protocol remains for the verify oracle chain,
+// the evaluator benchmarks and the benchmark module's per-layer probes.
 //
 // Cost remains a stateless full evaluation and never disturbs the cache.
 // Implementations are not safe for concurrent use.

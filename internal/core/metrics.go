@@ -11,7 +11,7 @@ const (
 	// MetricsOff collects nothing; Result.Metrics stays nil.
 	MetricsOff MetricsLevel = iota
 	// MetricsCounters collects the cheap per-chain counters (evaluations,
-	// delta vs. full splits, acceptances, best-improvements) and the
+	// full passes, acceptances, best-improvements) and the
 	// ensemble aggregates, but no per-phase timers.
 	MetricsCounters
 	// MetricsKernels additionally times every phase/kernel: host
@@ -87,11 +87,10 @@ type Metrics struct {
 	// Evaluations is the total fitness-function invocation count (equal
 	// to Result.Evaluations).
 	Evaluations int64 `json:"evaluations"`
-	// DeltaEvaluations counts candidates priced through the incremental
-	// propose path; FullEvaluations counts full O(n) passes. Engines that
-	// do not distinguish report everything as full.
-	DeltaEvaluations int64 `json:"deltaEvaluations"`
-	FullEvaluations  int64 `json:"fullEvaluations"`
+	// FullEvaluations counts the full O(n) passes the engine's own
+	// counters saw: every SA and DPSO engine scores each candidate with
+	// one, so it equals Evaluations on those engines.
+	FullEvaluations int64 `json:"fullEvaluations"`
 	// Acceptances counts accepted metropolis moves (personal-best
 	// refreshes for DPSO); Improvements counts moves that improved a
 	// chain's best-so-far.

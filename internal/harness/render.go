@@ -89,15 +89,15 @@ func (sw *Sweep) RuntimeTable() string {
 }
 
 // DeviationCSV emits the bar-chart data of Figures 12 (CDD) / 15 (UCDDCP):
-// one row per size and algorithm, with the metrics counters (evaluation,
-// acceptance and incremental-evaluation means) alongside the quality.
+// one row per size and algorithm, with the metrics counters (evaluation
+// and acceptance means) alongside the quality.
 func (sw *Sweep) DeviationCSV() string {
 	var b strings.Builder
-	b.WriteString("size,algorithm,mean_pct_dev,mean_evals,mean_accepts,mean_delta_evals\n")
+	b.WriteString("size,algorithm,mean_pct_dev,mean_evals,mean_accepts\n")
 	for _, row := range sw.Rows {
 		for _, algo := range AlgoNames {
-			fmt.Fprintf(&b, "%d,%s,%.4f,%.1f,%.1f,%.1f\n", row.Size, algo,
-				row.MeanPctDev[algo], row.MeanEvals[algo], row.MeanAccepts[algo], row.MeanDeltaEvals[algo])
+			fmt.Fprintf(&b, "%d,%s,%.4f,%.1f,%.1f\n", row.Size, algo,
+				row.MeanPctDev[algo], row.MeanEvals[algo], row.MeanAccepts[algo])
 		}
 	}
 	return b.String()

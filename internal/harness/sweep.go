@@ -28,11 +28,9 @@ type InstanceRun struct {
 	Sim    float64 // simulated device seconds
 	Evals  int64   // fitness evaluations performed
 	PctDev float64 // 100·(Z−Z_best)/Z_best against the CPU reference
-	// Accepts and DeltaEvals come from the solver's metrics snapshot:
-	// accepted moves (pbest refreshes for DPSO) and the share of fitness
-	// evaluations served by the incremental O(Δ) path.
-	Accepts    int64
-	DeltaEvals int64
+	// Accepts comes from the solver's metrics snapshot: accepted moves
+	// (pbest refreshes for DPSO).
+	Accepts int64
 }
 
 // InstanceResult collects everything measured on one instance.
@@ -55,11 +53,10 @@ type SizeRow struct {
 	MeanPctDev map[string]float64
 	MeanWall   map[string]float64
 	MeanSim    map[string]float64
-	// MeanEvals, MeanAccepts and MeanDeltaEvals aggregate the metrics
-	// counters of the parallel runs (Figures 12/15 companion columns).
-	MeanEvals      map[string]float64
-	MeanAccepts    map[string]float64
-	MeanDeltaEvals map[string]float64
+	// MeanEvals and MeanAccepts aggregate the metrics counters of the
+	// parallel runs (Figures 12/15 companion columns).
+	MeanEvals   map[string]float64
+	MeanAccepts map[string]float64
 	// Speedups are budget-normalized: reference seconds-per-evaluation ×
 	// the run's evaluation count, divided by the run's wall (Wall) or
 	// simulated device (Sim) time.
@@ -222,7 +219,6 @@ func runInstance(ctx context.Context, p Preset, inst *problem.Instance, seed uin
 		}
 		if m := r.Metrics; m != nil {
 			run.Accepts = m.Acceptances
-			run.DeltaEvals = m.DeltaEvaluations
 		}
 		res.Runs[algo] = run
 	}
@@ -232,17 +228,16 @@ func runInstance(ctx context.Context, p Preset, inst *problem.Instance, seed uin
 // aggregateSize folds the per-instance results of one size into a row.
 func aggregateSize(size int, results []InstanceResult) SizeRow {
 	row := SizeRow{
-		Size:           size,
-		MeanPctDev:     map[string]float64{},
-		MeanWall:       map[string]float64{},
-		MeanSim:        map[string]float64{},
-		MeanEvals:      map[string]float64{},
-		MeanAccepts:    map[string]float64{},
-		MeanDeltaEvals: map[string]float64{},
-		SpeedupWall7:   map[string]float64{},
-		SpeedupSim7:    map[string]float64{},
-		SpeedupWall18:  map[string]float64{},
-		RawSim7:        map[string]float64{},
+		Size:          size,
+		MeanPctDev:    map[string]float64{},
+		MeanWall:      map[string]float64{},
+		MeanSim:       map[string]float64{},
+		MeanEvals:     map[string]float64{},
+		MeanAccepts:   map[string]float64{},
+		SpeedupWall7:  map[string]float64{},
+		SpeedupSim7:   map[string]float64{},
+		SpeedupWall18: map[string]float64{},
+		RawSim7:       map[string]float64{},
 	}
 	var ref7, ref18 []float64
 	for _, r := range results {
@@ -253,7 +248,7 @@ func aggregateSize(size int, results []InstanceResult) SizeRow {
 	row.RefWall18 = stats.Mean(ref18)
 	for _, algo := range AlgoNames {
 		var devs, walls, sims []float64
-		var evals, accepts, deltas []float64
+		var evals, accepts []float64
 		var spWall7, spSim7, spWall18, rawSim7 []float64
 		for _, r := range results {
 			run := r.Runs[algo]
@@ -262,7 +257,6 @@ func aggregateSize(size int, results []InstanceResult) SizeRow {
 			sims = append(sims, run.Sim)
 			evals = append(evals, float64(run.Evals))
 			accepts = append(accepts, float64(run.Accepts))
-			deltas = append(deltas, float64(run.DeltaEvals))
 			// Budget-normalized speedups: the serial CPU reference's
 			// seconds-per-evaluation, projected onto this run's
 			// evaluation count, divided by the run's time. This is the
@@ -284,7 +278,6 @@ func aggregateSize(size int, results []InstanceResult) SizeRow {
 		row.MeanSim[algo] = stats.Mean(sims)
 		row.MeanEvals[algo] = stats.Mean(evals)
 		row.MeanAccepts[algo] = stats.Mean(accepts)
-		row.MeanDeltaEvals[algo] = stats.Mean(deltas)
 		row.SpeedupWall7[algo] = stats.Mean(spWall7)
 		row.SpeedupSim7[algo] = stats.Mean(spSim7)
 		row.SpeedupWall18[algo] = stats.Mean(spWall18)

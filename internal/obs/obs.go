@@ -36,7 +36,7 @@ const (
 	PhaseInit
 	// PhasePerturb is the SA perturbation kernel.
 	PhasePerturb
-	// PhaseFitness is the fitness kernel (full or incremental).
+	// PhaseFitness is the fitness kernel.
 	PhaseFitness
 	// PhaseAccept is the SA metropolis-acceptance kernel.
 	PhaseAccept
@@ -106,11 +106,9 @@ func (p Phase) String() string {
 // maintains while it runs. Chains expose them through CounterSource; the
 // ensemble runtime folds them into the run's Collector.
 type ChainCounters struct {
-	// DeltaEvaluations counts candidates priced through the incremental
-	// propose/commit path, FullEvaluations full O(n) passes (including
-	// initialization and T₀ samples).
-	DeltaEvaluations int64
-	FullEvaluations  int64
+	// FullEvaluations counts full O(n) passes (including initialization
+	// and T₀ samples).
+	FullEvaluations int64
 	// Acceptances counts accepted moves, Improvements the subset that
 	// improved the chain's best-so-far.
 	Acceptances  int64
@@ -139,11 +137,10 @@ type Collector struct {
 	level  core.MetricsLevel
 	phases [numPhases]phaseCell
 
-	deltaEvals atomic.Int64
-	fullEvals  atomic.Int64
-	accepts    atomic.Int64
-	improves   atomic.Int64
-	busyNS     atomic.Int64
+	fullEvals atomic.Int64
+	accepts   atomic.Int64
+	improves  atomic.Int64
+	busyNS    atomic.Int64
 
 	interruptedAt atomic.Pointer[string]
 }
@@ -201,22 +198,14 @@ func (c *Collector) AddChain(cc ChainCounters) {
 	if c == nil {
 		return
 	}
-	c.deltaEvals.Add(cc.DeltaEvaluations)
 	c.fullEvals.Add(cc.FullEvaluations)
 	c.accepts.Add(cc.Acceptances)
 	c.improves.Add(cc.Improvements)
 }
 
-// AddDeltaEvals / AddFullEvals / AddAccepts / AddImprovements are the
-// GPU kernels' direct counter hooks (the simulated threads have no Chain
-// object to fold).
-func (c *Collector) AddDeltaEvals(n int64) {
-	if c != nil {
-		c.deltaEvals.Add(n)
-	}
-}
-
-// AddFullEvals counts full O(n) fitness passes.
+// AddFullEvals / AddAccepts / AddImprovements are the GPU kernels'
+// direct counter hooks (the simulated threads have no Chain object to
+// fold). AddFullEvals counts full O(n) fitness passes.
 func (c *Collector) AddFullEvals(n int64) {
 	if c != nil {
 		c.fullEvals.Add(n)
@@ -265,15 +254,14 @@ func (c *Collector) Snapshot(evaluations int64, chains, workers int, elapsed tim
 		return nil
 	}
 	m := &core.Metrics{
-		Level:            c.level,
-		Evaluations:      evaluations,
-		DeltaEvaluations: c.deltaEvals.Load(),
-		FullEvaluations:  c.fullEvals.Load(),
-		Acceptances:      c.accepts.Load(),
-		Improvements:     c.improves.Load(),
-		Chains:           chains,
-		Workers:          workers,
-		WorkerBusy:       time.Duration(c.busyNS.Load()),
+		Level:           c.level,
+		Evaluations:     evaluations,
+		FullEvaluations: c.fullEvals.Load(),
+		Acceptances:     c.accepts.Load(),
+		Improvements:    c.improves.Load(),
+		Chains:          chains,
+		Workers:         workers,
+		WorkerBusy:      time.Duration(c.busyNS.Load()),
 	}
 	if workers > 0 && elapsed > 0 {
 		m.Utilization = float64(m.WorkerBusy) / (float64(elapsed) * float64(workers))

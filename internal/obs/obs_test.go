@@ -17,8 +17,7 @@ func TestNilCollectorIsSafeAndOff(t *testing.T) {
 	// None of these may panic.
 	c.Phase(PhaseFitness, time.Millisecond, 0.5)
 	c.CountPhase(PhaseReduce)
-	c.AddChain(ChainCounters{DeltaEvaluations: 3})
-	c.AddDeltaEvals(1)
+	c.AddChain(ChainCounters{FullEvaluations: 3})
 	c.AddFullEvals(1)
 	c.AddAccepts(1)
 	c.AddImprovements(1)
@@ -48,7 +47,7 @@ func TestCollectorSnapshot(t *testing.T) {
 	c.Phase(PhaseFitness, 2*time.Millisecond, 0.25)
 	c.Phase(PhaseFitness, 3*time.Millisecond, 0.25)
 	c.CountPhase(PhasePerturb)
-	c.AddChain(ChainCounters{DeltaEvaluations: 5, FullEvaluations: 2, Acceptances: 4, Improvements: 1})
+	c.AddChain(ChainCounters{FullEvaluations: 2, Acceptances: 4, Improvements: 1})
 	c.AddAccepts(6)
 	c.AddBusy(400 * time.Millisecond)
 	c.SetInterruptedAt("iteration")
@@ -61,7 +60,7 @@ func TestCollectorSnapshot(t *testing.T) {
 	if m.Level != core.MetricsKernels || m.Evaluations != 7 || m.Chains != 3 || m.Workers != 2 {
 		t.Fatalf("header fields wrong: %+v", m)
 	}
-	if m.DeltaEvaluations != 5 || m.FullEvaluations != 2 || m.Acceptances != 10 || m.Improvements != 1 {
+	if m.FullEvaluations != 2 || m.Acceptances != 10 || m.Improvements != 1 {
 		t.Fatalf("counters wrong: %+v", m)
 	}
 	if m.InterruptedAt != "iteration" {
@@ -128,7 +127,7 @@ func TestRegistry(t *testing.T) {
 	var r Registry
 	r.Observe(nil) // ignored
 	r.Observe(&core.Metrics{
-		Evaluations: 10, DeltaEvaluations: 6, FullEvaluations: 4,
+		Evaluations: 10, FullEvaluations: 4,
 		Acceptances: 3, Improvements: 1,
 		Phases: []core.PhaseMetric{{Name: "fitness", Wall: time.Millisecond, Sim: 0.5, Count: 2}},
 	})
@@ -141,7 +140,7 @@ func TestRegistry(t *testing.T) {
 	if s.Runs != 2 || s.Interrupted != 1 {
 		t.Fatalf("Runs=%d Interrupted=%d", s.Runs, s.Interrupted)
 	}
-	if s.Totals.Evaluations != 15 || s.Totals.DeltaEvaluations != 6 || s.Totals.Acceptances != 3 {
+	if s.Totals.Evaluations != 15 || s.Totals.FullEvaluations != 4 || s.Totals.Acceptances != 3 {
 		t.Fatalf("totals = %+v", s.Totals)
 	}
 	fit := s.Phases["fitness"]

@@ -26,11 +26,10 @@ type Registry struct {
 
 // RegistryTotals are the counter sums across all observed runs.
 type RegistryTotals struct {
-	Evaluations      int64 `json:"evaluations"`
-	DeltaEvaluations int64 `json:"deltaEvaluations"`
-	FullEvaluations  int64 `json:"fullEvaluations"`
-	Acceptances      int64 `json:"acceptances"`
-	Improvements     int64 `json:"improvements"`
+	Evaluations     int64 `json:"evaluations"`
+	FullEvaluations int64 `json:"fullEvaluations"`
+	Acceptances     int64 `json:"acceptances"`
+	Improvements    int64 `json:"improvements"`
 }
 
 // PhaseTotals are one phase's accumulated timing across all observed
@@ -62,7 +61,6 @@ func (r *Registry) Observe(m *core.Metrics) {
 		r.interr++
 	}
 	r.totals.Evaluations += m.Evaluations
-	r.totals.DeltaEvaluations += m.DeltaEvaluations
 	r.totals.FullEvaluations += m.FullEvaluations
 	r.totals.Acceptances += m.Acceptances
 	r.totals.Improvements += m.Improvements

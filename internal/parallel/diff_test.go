@@ -14,9 +14,10 @@ import (
 // the host evaluators on adversarial instance shapes (zero penalties,
 // equal processing times, due dates straddling the restrictive boundary).
 // The golden parity tests pin specific values; this sweep hunts for
-// divergence anywhere in the input space the generators can reach —
-// device int32-sequence evaluation, host int-sequence evaluation, and the
-// incremental delta evaluator must agree bit for bit on every sample.
+// divergence anywhere in the input space the generators can reach — the
+// device int32-row evaluation (the core row dispatch the fitness kernels
+// call) and the kind's host evaluator must agree bit for bit on every
+// sample.
 
 // randomAdversarialCDD draws an instance from one of the shapes that have
 // historically distinct code paths in the breakpoint walk.
@@ -85,28 +86,7 @@ func TestDeviceHostFitnessDifferentialCDD(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
 		in := randomAdversarialCDD(rng)
-		n := in.N()
-		p, alpha, beta := cdd.ParamArrays(in)
-		host := cdd.NewEvaluator(in)
-		delta := core.NewDeltaEvaluator(in)
-		seq := problem.IdentitySequence(n)
-		seq32 := make([]int32, n)
-		comp := make([]int64, n)
-		for s := 0; s < 6; s++ {
-			rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
-			for i, v := range seq {
-				seq32[i] = int32(v)
-			}
-			dev, _ := fitnessCDDArrays(seq32, p, alpha, beta, in.D, comp)
-			if hc := host.Cost(seq); dev != hc {
-				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
-					trial, dev, hc, in.D, in.Jobs, seq)
-			}
-			if dc := delta.Reset(seq); dev != dc {
-				t.Fatalf("trial %d: device %d != delta %d (d=%d jobs=%+v seq=%v)",
-					trial, dev, dc, in.D, in.Jobs, seq)
-			}
-		}
+		deviceHostDifferential(t, rng, trial, in, cdd.NewEvaluator(in))
 	}
 }
 
@@ -114,27 +94,21 @@ func TestDeviceHostFitnessDifferentialUCDDCP(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 300; trial++ {
 		in := randomAdversarialUCDDCP(rng)
-		n := in.N()
-		p, m, alpha, beta, gamma := ucddcp.ParamArrays(in)
-		host := ucddcp.NewEvaluator(in)
-		delta := core.NewDeltaEvaluator(in)
-		seq := problem.IdentitySequence(n)
-		seq32 := make([]int32, n)
-		comp := make([]int64, n)
-		for s := 0; s < 6; s++ {
-			rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
-			for i, v := range seq {
-				seq32[i] = int32(v)
-			}
-			dev, _ := fitnessUCDDCPArrays(seq32, p, m, alpha, beta, gamma, in.D, comp)
-			if hc := host.Cost(seq); dev != hc {
-				t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
-					trial, dev, hc, in.D, in.Jobs, seq)
-			}
-			if dc := delta.Reset(seq); dev != dc {
-				t.Fatalf("trial %d: device %d != delta %d (d=%d jobs=%+v seq=%v)",
-					trial, dev, dc, in.D, in.Jobs, seq)
-			}
+		deviceHostDifferential(t, rng, trial, in, ucddcp.NewEvaluator(in))
+	}
+}
+
+// deviceHostDifferential scores six random sequences of the instance
+// through the fitness kernels' row dispatch and through the kind's host
+// evaluator, and fails on the first disagreement.
+func deviceHostDifferential(t *testing.T, rng *rand.Rand, trial int, in *problem.Instance, host core.Evaluator) {
+	t.Helper()
+	seq := problem.IdentitySequence(in.N())
+	for s := 0; s < 6; s++ {
+		rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+		if dev, hc := deviceFitness(in, seq), host.Cost(seq); dev != hc {
+			t.Fatalf("trial %d: device %d != host %d (d=%d jobs=%+v seq=%v)",
+				trial, dev, hc, in.D, in.Jobs, seq)
 		}
 	}
 }

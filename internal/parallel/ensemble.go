@@ -66,8 +66,8 @@ func (e Ensemble) Run(ctx context.Context, inst *problem.Instance, spec RunSpec)
 		return core.Result{}, fmt.Errorf("parallel: ensemble run without an instance")
 	}
 	ens := e.normalized()
-	if ens.Chains >= 1<<tidBits {
-		return core.Result{}, fmt.Errorf("parallel: %d chains exceed the %d-chain reduction limit", ens.Chains, 1<<tidBits)
+	if err := CheckChains(ens.Chains, 1); err != nil {
+		return core.Result{}, err
 	}
 	start := time.Now()
 	red := newReducer(ens.Chains)

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dpso"
+	"repro/internal/orlib"
 	"repro/internal/problem"
 	"repro/internal/sa"
 )
@@ -110,5 +112,44 @@ func TestGoldenSimSecondsUCDDCP(t *testing.T) {
 	}
 	if r.SimSeconds != goldenSimSecondsUCDDCP {
 		t.Errorf("SimSeconds = %v, want %v", r.SimSeconds, goldenSimSecondsUCDDCP)
+	}
+}
+
+// TestGoldenSimSecondsFullPassKernels pins the exact simulated device
+// time and best cost of fixed-seed GPU runs whose kernels already scored
+// with the full-pass fitness step before the single-machine CDD kernels
+// dropped their incremental (propose/commit) pricing: the scattered and
+// texture ablations, the persistent kernel on UCDDCP, GPU DPSO and the
+// genome-coded EARLYWORK pipelines. Their charges did not move with that
+// change, and the values were captured before it.
+func TestGoldenSimSecondsFullPassKernels(t *testing.T) {
+	ctx := context.Background()
+	cdd40, uc40 := benchInstanceCDD(40), benchInstanceUCDDCP(40)
+	ew, err := orlib.BenchmarkEarlyWork(20, 2, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		s    core.Solver
+		in   *problem.Instance
+		sim  float64
+		cost int64
+	}{
+		{"GPUSA/CDD/scattered", &GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6, PTimeAccess: PAccessScattered}, cdd40, 0.0034512936129032254, 20539},
+		{"GPUSA/CDD/texture", &GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6, PTimeAccess: PAccessTexture}, cdd40, 0.002638576193548394, 20539},
+		{"PersistentGPUSA/UCDDCP", &PersistentGPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6}, uc40, 0.0009163832903225808, 11354},
+		{"GPUDPSO/CDD", &GPUDPSO{PSO: dpso.Config{Iterations: 30}, Grid: 2, Block: 8, Seed: 6}, cdd40, 0.0010166161935483862, 25409},
+		{"GPUSA/EARLYWORK/m2", &GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6}, ew[0], 0.0022317925322580642, 175},
+		{"PersistentGPUSA/EARLYWORK/m2", &PersistentGPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6}, ew[0], 0.0005114222096774195, 175},
+	}
+	for _, c := range cases {
+		r, err := c.s.Solve(ctx, c.in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if r.SimSeconds != c.sim || r.BestCost != c.cost {
+			t.Errorf("%s: SimSeconds %v, BestCost %d; want %v, %d", c.name, r.SimSeconds, r.BestCost, c.sim, c.cost)
+		}
 	}
 }

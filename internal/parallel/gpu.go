@@ -2,11 +2,10 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
-	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/cudasim"
 	"repro/internal/obs"
@@ -16,10 +15,30 @@ import (
 )
 
 // tidBits is the width of the thread-index field in the packed
-// (cost<<tidBits | tid) reduction values; 2^20 threads is far above any
-// launch in this repository, and costs fit comfortably in the remaining
-// 43 bits for every benchmark size.
+// (cost<<tidBits | tid) reduction values. The cost takes the bits above
+// it: problem.Instance.Validate rejects every instance whose objective
+// can reach problem.CostLimit, and CheckChains every run of MaxChains or
+// more chains.
 const tidBits = 20
+
+// The packed word must hold every admissible cost above the thread
+// index without reaching the sign bit; the constant overflows uint (a
+// compile error) otherwise.
+const _ uint = 63 - tidBits - problem.CostBits
+
+// MaxChains bounds the chain (thread) count of every engine: the packed
+// reduction word indexes chains in tidBits bits.
+const MaxChains = 1 << tidBits
+
+// CheckChains rejects a run of grid·block chains that the packed
+// reduction word cannot index. Each factor is checked on its own first,
+// so the product cannot overflow.
+func CheckChains(grid, block int) error {
+	if grid >= MaxChains || block >= MaxChains || grid*block >= MaxChains {
+		return fmt.Errorf("parallel: %d×%d chains reach the %d-chain reduction limit", grid, block, MaxChains)
+	}
+	return nil
+}
 
 // GPUSA is the paper's GPU implementation of asynchronous parallel
 // Simulated Annealing (Section VI): one SA chain per simulated CUDA
@@ -115,29 +134,18 @@ type pipeline struct {
 	coop                 bool
 	pAccess              PAccess
 
-	// Job-parameter arrays, device-resident (indexed by job id).
+	// Job-parameter arrays, device-resident (indexed by job id). On
+	// genome-coded instances (parallel machines or the early-work
+	// objective) rows are delimiter genomes of length GenomeLen, and the
+	// arrays are zero-padded to that length so separator ids stay
+	// in-bounds for every access mode.
 	pBuf, alphaBuf, betaBuf *cudasim.Buffer[int64]
-	mBuf, gammaBuf          *cudasim.Buffer[int64] // nil for CDD
 	pTex                    *cudasim.Texture[int64]
 
 	// Per-thread local state modelling registers/local memory.
 	rngs     []*xrand.XORWOW
-	comp     [][]int64
 	pLocal   [][]int64 // texture-mode staging of processing times
 	texCache []cudasim.TexCache
-
-	// deltas, when non-nil, hold per-thread incremental evaluators: the
-	// fitness step prices each candidate by Propose over the perturbed
-	// positions and the accept step advances the cache by Commit.
-	deltas []*cdd.Delta[int32]
-
-	// soa, when non-nil, is the genome-coded snapshot: the instance has
-	// parallel machines or the early-work objective, rows are delimiter
-	// genomes of length GenomeLen, and the persistent kernel scores them
-	// through core.GenomeFitnessArrays. The device job arrays above are
-	// zero-padded to the genome length so separator ids stay in-bounds
-	// for every access mode.
-	soa *core.SoAInstance
 
 	// batch precomputes the full-pass fitness of all rows host-side in
 	// one batch pass (lazily built on first fitnessKernel
@@ -164,26 +172,23 @@ func newPipeline(dev *cudasim.Device, inst *problem.Instance, grid, block int, c
 	pl.pBuf = cudasim.NewBufferFrom(dev, p)
 	pl.alphaBuf = cudasim.NewBufferFrom(dev, a)
 	pl.betaBuf = cudasim.NewBufferFrom(dev, b)
-	if inst.GenomeCoded() {
-		pl.soa = core.NewSoAInstance(inst)
-	}
 	if inst.Kind == problem.UCDDCP {
 		m := make([]int64, n)
 		gm := make([]int64, n)
 		for i, j := range inst.Jobs {
 			m[i], gm[i] = int64(j.M), int64(j.Gamma)
 		}
-		pl.mBuf = cudasim.NewBufferFrom(dev, m)
-		pl.gammaBuf = cudasim.NewBufferFrom(dev, gm)
+		// Uploaded like the other job columns; the kernels only charge
+		// their reads (fitnessStep), so no handle is kept.
+		cudasim.NewBufferFrom(dev, m)
+		cudasim.NewBufferFrom(dev, gm)
 	}
 	dev.SetConstantInt("n", int64(n))
 	dev.SetConstantInt("d", inst.D)
 
 	pl.rngs = make([]*xrand.XORWOW, pl.threads)
-	pl.comp = make([][]int64, pl.threads)
 	for t := 0; t < pl.threads; t++ {
 		pl.rngs[t] = xrand.NewStream(seed, uint64(t))
-		pl.comp[t] = make([]int64, n)
 	}
 	return pl
 }
@@ -202,35 +207,6 @@ func (pl *pipeline) setPAccess(mode PAccess) {
 	for t := 0; t < pl.threads; t++ {
 		pl.pLocal[t] = make([]int64, pl.n)
 	}
-}
-
-// enableDelta builds the per-thread incremental CDD evaluators. Only the
-// single-machine CDD kernels adopt the delta path (cdd.Delta prices plain
-// sequences, not delimiter genomes), and only in the default coalesced
-// access mode — the scattered/texture ablations exist to time the full
-// pass's processing-time read pattern, so they keep it.
-func (pl *pipeline) enableDelta() {
-	pl.deltas = make([]*cdd.Delta[int32], pl.threads)
-	for t := range pl.deltas {
-		pl.deltas[t] = cdd.NewDelta[int32](pl.pBuf.Raw(), pl.alphaBuf.Raw(), pl.betaBuf.Raw(), pl.inst.D)
-	}
-}
-
-// chargeDeltaReset charges the full fused pass plus the prefix/Fenwick
-// build that Delta.Reset performs on a thread's row.
-func chargeDeltaReset(c *cudasim.Ctx, n int) {
-	c.ChargeGlobal(3*n, true) // sequence row + α/β full-pass reads
-	c.ChargeArith(12 * n)
-}
-
-// chargeDeltaPropose charges the incremental candidate evaluation: O(k)
-// aggregate corrections over the touched positions plus two binary
-// searches with Fenwick prefix reads. With so few reads the delta path
-// skips shared-memory staging and reads the touched entries straight
-// from global memory (scattered).
-func chargeDeltaPropose(c *cudasim.Ctx, k, lg int) {
-	c.ChargeGlobal(3*k+4*lg, false)
-	c.ChargeArith(12*k + 10*lg)
 }
 
 // loadProcessingTimes returns the processing-time array the fitness
@@ -349,56 +325,58 @@ func (pl *pipeline) batchFitness(rows []int32) ([]int64, []int) {
 
 // fitnessKernel evaluates every thread's row of target into out. The
 // costs and op counts are precomputed in one batched host pass; the
-// launch closure models the device exactly as before — shared-memory
-// staging, the configured processing-time access mode, and the per-row
-// arithmetic charge all stay inside the kernel.
+// launch closure models the device — shared-memory staging, the
+// due-date read and the per-thread charges of fitnessStep.
 func (pl *pipeline) fitnessKernel(target *cudasim.Buffer[int32], out *cudasim.Buffer[int64]) error {
 	costs, ops := pl.batchFitness(target.Raw())
 	return pl.dev.Launch(pl.launchCfg("fitness"), func(c *cudasim.Ctx) {
 		pl.stagePenalties(c)
 		tid := c.GlobalThreadID()
 		n := pl.n
-		row := target.Raw()[tid*n : (tid+1)*n]
-		c.ConstInt("d")         // due-date read from constant memory
-		c.ChargeGlobal(n, true) // sequence row
-		c.ChargeShared(2 * n)   // α/β reads from shared memory
-		pl.loadProcessingTimes(c, tid, row)
-		if pl.inst.Kind == problem.UCDDCP {
-			c.ChargeGlobal(2*n, true) // M and γ reads
-		}
-		c.ChargeArith(ops[tid])
+		c.ConstInt("d") // due-date read from constant memory
+		pl.fitnessStep(c, tid, target.Raw()[tid*n:(tid+1)*n], ops[tid])
 		out.Store(c, tid, costs[tid])
 	})
 }
 
-// resetKernel caches every thread's row of target in its incremental
-// evaluator (a full fused pass plus the aggregate build) and writes the
-// row's cost into out. It is the delta path's initialization fitness.
-func (pl *pipeline) resetKernel(target *cudasim.Buffer[int32], out *cudasim.Buffer[int64]) error {
-	return pl.dev.Launch(pl.launchCfg("fitness"), func(c *cudasim.Ctx) {
-		tid := c.GlobalThreadID()
-		n := pl.n
-		row := target.Raw()[tid*n : (tid+1)*n]
-		chargeDeltaReset(c, n)
-		out.Store(c, tid, pl.deltas[tid].Reset(row))
-	})
+// fitnessStep charges one thread's evaluation of row, whose abstract
+// op count (from the core row dispatch, core.BatchEvaluator.FitnessRow32)
+// is ops: the sequence row, the α/β reads from shared memory, the
+// processing-time reads in the configured access mode, the UCDDCP M/γ
+// reads, and the O(n) linear algorithm's arithmetic. It is the fitness
+// step of both the four-kernel pipeline and the persistent kernel.
+func (pl *pipeline) fitnessStep(c *cudasim.Ctx, tid int, row []int32, ops int) {
+	n := pl.n
+	c.ChargeGlobal(n, true) // sequence row
+	c.ChargeShared(2 * n)   // α/β reads from shared memory
+	pl.loadProcessingTimes(c, tid, row)
+	if pl.inst.Kind == problem.UCDDCP {
+		c.ChargeGlobal(2*n, true) // M and γ reads
+	}
+	c.ChargeArith(ops)
 }
 
-// deltaFitnessKernel prices every thread's candidate row incrementally:
-// Propose over the thread's perturbed positions costs O(k + log n) per
-// thread instead of the O(n) full pass, with bit-identical costs.
-func (pl *pipeline) deltaFitnessKernel(target *cudasim.Buffer[int32], positions [][]int, out *cudasim.Buffer[int64]) error {
-	cfg := pl.launchCfg("fitness")
-	cfg.SharedBytesPerBlock = 0
-	lg := bits.Len(uint(pl.n))
-	return pl.dev.Launch(cfg, func(c *cudasim.Ctx) {
-		tid := c.GlobalThreadID()
-		n := pl.n
-		row := target.Raw()[tid*n : (tid+1)*n]
-		pos := positions[tid]
-		chargeDeltaPropose(c, len(pos), lg)
-		out.Store(c, tid, pl.deltas[tid].Propose(row, pos))
-	})
+// perturbStep is one thread's perturbation, shared by the perturb kernel
+// and the persistent kernel: dst becomes a copy of src with the jobs at
+// the thread's Pert positions Fisher–Yates-shuffled, the positions
+// re-drawn (Floyd) on iteration 0 and every ReselectPeriod iterations.
+// It returns the positions, which the caller keeps for the next call.
+func perturbStep(c *cudasim.Ctx, rng *xrand.XORWOW, cfg sa.Config, it int, pos []int, src, dst []int32) []int {
+	n := len(src)
+	copy(dst, src)
+	c.ChargeGlobal(2*n, true)
+	if it%cfg.ReselectPeriod == 0 || len(pos) == 0 {
+		pos = drawPositions(rng, pos[:0], n, cfg.Pert)
+		c.ChargeArith(4 * cfg.Pert)
+	}
+	for i := len(pos) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		a, b := pos[i], pos[j]
+		dst[a], dst[b] = dst[b], dst[a]
+	}
+	c.ChargeGlobal(2*len(pos), false) // scattered swaps
+	c.ChargeArith(6 * len(pos))
+	return pos
 }
 
 // reduceKernel folds a per-thread cost buffer into the packed
@@ -413,6 +391,44 @@ func (pl *pipeline) reduceKernel(costs, packed *cudasim.Buffer[int64]) error {
 	})
 }
 
+// gpuSetup resolves a GPU front end's launch geometry and device: the
+// paper's 4 × 192 for zero Grid/Block and a fresh simulated GT 560M for
+// a nil device. A geometry the packed reduction cannot index is rejected
+// before anything is allocated.
+func gpuSetup(grid, block int, dev *cudasim.Device) (int, int, *cudasim.Device, error) {
+	if grid <= 0 {
+		grid = 4
+	}
+	if block <= 0 {
+		block = 192
+	}
+	if err := CheckChains(grid, block); err != nil {
+		return 0, 0, nil, err
+	}
+	if dev == nil {
+		dev = cudasim.NewDevice(cudasim.GT560M())
+	}
+	return grid, block, dev, nil
+}
+
+// hostT0 returns the GPU SA engines' initial temperature: cfg.T0 when
+// set, otherwise the standard deviation of random-sequence fitnesses,
+// estimated host-side as a pre-processing step on the stream just past
+// the threads' own. It also returns the T₀ samples scored (counted on
+// col as full evaluations).
+func hostT0(col *obs.Collector, inst *problem.Instance, cfg sa.Config, seed uint64, threads int) (float64, int64) {
+	if cfg.T0 > 0 {
+		return cfg.T0, 0
+	}
+	var t0 float64
+	phased(col, obs.PhaseT0, func() {
+		t0 = core.InitialTemperature(core.NewEvaluator(inst), xrand.NewStream(seed, uint64(threads)+1), cfg.TempSamples)
+	})
+	scored := int64(core.TempSampleCount(cfg.TempSamples))
+	col.AddFullEvals(scored)
+	return t0, scored
+}
+
 // Solve runs the full pipeline and returns the reduced best solution.
 // Cancellation is checked once per host iteration (one four-kernel
 // round): a done context skips the remaining rounds, runs a final
@@ -423,16 +439,9 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 	if inst == nil {
 		inst = g.Inst
 	}
-	grid, block := g.Grid, g.Block
-	if grid <= 0 {
-		grid = 4
-	}
-	if block <= 0 {
-		block = 192
-	}
-	dev := g.Dev
-	if dev == nil {
-		dev = cudasim.NewDevice(cudasim.GT560M())
+	grid, block, dev, err := gpuSetup(g.Grid, g.Block, g.Dev)
+	if err != nil {
+		return core.Result{}, err
 	}
 	reduceEvery := g.ReduceEvery
 	if reduceEvery <= 0 {
@@ -445,51 +454,16 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 	ctx, cancel := g.Budget.Apply(ctx)
 	defer cancel()
 	n := inst.GenomeLen()
+	cfg = cfg.Normalized(n)
 	start := time.Now()
 	simStart := dev.SimTime()
 
 	pl := newPipeline(dev, inst, grid, block, g.Cooperative, g.Seed)
 	pl.setPAccess(g.PTimeAccess)
-	if inst.Kind == problem.CDD && !inst.GenomeCoded() && g.PTimeAccess == PAccessCoalesced {
-		pl.enableDelta()
-	}
 	N := pl.threads
 
-	// Normalize the SA parameters exactly as sa.Chain would.
-	full := sa.DefaultConfig()
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = full.Iterations
-	}
-	if cfg.Cooling <= 0 || cfg.Cooling >= 1 {
-		cfg.Cooling = full.Cooling
-	}
-	if cfg.Pert <= 0 {
-		cfg.Pert = full.Pert
-	}
-	if cfg.Pert > n {
-		cfg.Pert = n
-	}
-	if cfg.ReselectPeriod <= 0 {
-		cfg.ReselectPeriod = full.ReselectPeriod
-	}
-	if cfg.TempSamples <= 0 {
-		cfg.TempSamples = full.TempSamples
-	}
-
 	col := obs.NewCollector(g.Metrics)
-	var evalCount int64
-	// T0: standard deviation of random-sequence fitnesses (host side, as
-	// a pre-processing step; one stream beyond the thread streams).
-	temp := cfg.T0
-	if temp <= 0 {
-		phased(col, obs.PhaseT0, func() {
-			eval := core.NewEvaluator(inst)
-			temp = core.InitialTemperature(eval, xrand.NewStream(g.Seed, uint64(N)+1), cfg.TempSamples)
-		})
-		scored := int64(core.TempSampleCount(cfg.TempSamples))
-		evalCount += scored
-		col.AddFullEvals(scored)
-	}
+	temp, evalCount := hostT0(col, inst, cfg, g.Seed, N)
 
 	// Device state: sequences, candidates, costs, per-thread bests.
 	var rows []int32
@@ -506,13 +480,8 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 	bestSeqBuf := cudasim.NewBuffer[int32](dev, N*n)
 	packedBuf := cudasim.NewBufferFrom(dev, []int64{math.MaxInt64})
 
-	// Initial fitness of the random sequences; initialize bests. The delta
-	// path caches each row during this pass so later iterations can price
-	// candidates incrementally.
+	// Initial fitness of the random sequences; initialize bests.
 	if err := gpuPhased(col, dev, obs.PhaseFitness, func() error {
-		if pl.deltas != nil {
-			return pl.resetKernel(seqBuf, costBuf)
-		}
 		return pl.fitnessKernel(seqBuf, costBuf)
 	}); err != nil {
 		return core.Result{}, err
@@ -552,44 +521,21 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 		if err := gpuPhased(col, dev, obs.PhasePerturb, func() error {
 			return dev.Launch(pl.launchCfg("perturb"), func(c *cudasim.Ctx) {
 				tid := c.GlobalThreadID()
-				rng := pl.rngs[tid]
-				src := seqBuf.Raw()[tid*n : (tid+1)*n]
-				dst := candBuf.Raw()[tid*n : (tid+1)*n]
-				copy(dst, src)
-				c.ChargeGlobal(2*n, true)
-				if iter%cfg.ReselectPeriod == 0 || len(positions[tid]) == 0 {
-					positions[tid] = drawPositions(rng, positions[tid][:0], n, cfg.Pert)
-					c.ChargeArith(4 * cfg.Pert)
-				}
-				pos := positions[tid]
-				for i := len(pos) - 1; i > 0; i-- {
-					j := rng.Intn(i + 1)
-					a, b := pos[i], pos[j]
-					dst[a], dst[b] = dst[b], dst[a]
-				}
-				c.ChargeGlobal(2*len(pos), false) // scattered swaps
-				c.ChargeArith(6 * len(pos))
+				positions[tid] = perturbStep(c, pl.rngs[tid], cfg, iter, positions[tid],
+					seqBuf.Raw()[tid*n:(tid+1)*n], candBuf.Raw()[tid*n:(tid+1)*n])
 			})
 		}); err != nil {
 			return core.Result{}, err
 		}
 
-		// Kernel 2: fitness of the candidates — incremental when the delta
-		// path is on (O(touched) per thread), the full O(n) pass otherwise.
+		// Kernel 2: fitness of the candidates.
 		if err := gpuPhased(col, dev, obs.PhaseFitness, func() error {
-			if pl.deltas != nil {
-				return pl.deltaFitnessKernel(candBuf, positions, candCostBuf)
-			}
 			return pl.fitnessKernel(candBuf, candCostBuf)
 		}); err != nil {
 			return core.Result{}, err
 		}
 		evalCount += int64(N)
-		if pl.deltas != nil {
-			col.AddDeltaEvals(int64(N))
-		} else {
-			col.AddFullEvals(int64(N))
-		}
+		col.AddFullEvals(int64(N))
 
 		// Kernel 3: metropolis acceptance + per-thread best tracking.
 		if err := gpuPhased(col, dev, obs.PhaseAccept, func() error {
@@ -606,10 +552,6 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 				c.ChargeArith(12)
 				if accept {
 					col.AddAccepts(1)
-					if pl.deltas != nil {
-						pl.deltas[tid].Commit()
-						c.ChargeArith(10 * len(positions[tid]) * bits.Len(uint(n)))
-					}
 					copy(seqBuf.Raw()[tid*n:(tid+1)*n], candBuf.Raw()[tid*n:(tid+1)*n])
 					costBuf.Store(c, tid, cand)
 					c.ChargeGlobal(2*n, true)

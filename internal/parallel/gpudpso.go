@@ -86,16 +86,9 @@ func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 	if inst == nil {
 		inst = g.Inst
 	}
-	grid, block := g.Grid, g.Block
-	if grid <= 0 {
-		grid = 4
-	}
-	if block <= 0 {
-		block = 192
-	}
-	dev := g.Dev
-	if dev == nil {
-		dev = cudasim.NewDevice(cudasim.GT560M())
+	grid, block, dev, err := gpuSetup(g.Grid, g.Block, g.Dev)
+	if err != nil {
+		return core.Result{}, err
 	}
 	cfg := g.PSO.Normalized()
 	if g.Budget.Iterations > 0 {

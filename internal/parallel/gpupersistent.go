@@ -3,17 +3,14 @@ package parallel
 import (
 	"context"
 	"math"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/cudasim"
 	"repro/internal/obs"
 	"repro/internal/problem"
 	"repro/internal/sa"
-	"repro/internal/xrand"
 )
 
 // PersistentGPUSA is the persistent-kernel variant of GPUSA: instead of
@@ -72,16 +69,9 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 	if inst == nil {
 		inst = g.Inst
 	}
-	grid, block := g.Grid, g.Block
-	if grid <= 0 {
-		grid = 4
-	}
-	if block <= 0 {
-		block = 192
-	}
-	dev := g.Dev
-	if dev == nil {
-		dev = cudasim.NewDevice(cudasim.GT560M())
+	grid, block, dev, err := gpuSetup(g.Grid, g.Block, g.Dev)
+	if err != nil {
+		return core.Result{}, err
 	}
 	cfg := g.SA
 	if g.Budget.Iterations > 0 {
@@ -90,63 +80,23 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 	ctx, cancel := g.Budget.Apply(ctx)
 	defer cancel()
 	n := inst.GenomeLen()
+	cfg = cfg.Normalized(n)
 	start := time.Now()
 	simStart := dev.SimTime()
 
 	pl := newPipeline(dev, inst, grid, block, false, g.Seed)
-	if inst.Kind == problem.CDD && !inst.GenomeCoded() {
-		// Same delta adoption as the four-kernel pipeline's default mode,
-		// so both engines price candidates identically.
-		pl.enableDelta()
-	}
 	N := pl.threads
 
-	full := sa.DefaultConfig()
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = full.Iterations
-	}
-	if cfg.Cooling <= 0 || cfg.Cooling >= 1 {
-		cfg.Cooling = full.Cooling
-	}
-	if cfg.Pert <= 0 {
-		cfg.Pert = full.Pert
-	}
-	if cfg.Pert > n {
-		cfg.Pert = n
-	}
-	if cfg.ReselectPeriod <= 0 {
-		cfg.ReselectPeriod = full.ReselectPeriod
-	}
-	if cfg.TempSamples <= 0 {
-		cfg.TempSamples = full.TempSamples
-	}
-
 	col := obs.NewCollector(g.Metrics)
-	var evalCount int64
-	t0 := cfg.T0
-	if t0 <= 0 {
-		phased(col, obs.PhaseT0, func() {
-			eval := core.NewEvaluator(inst)
-			t0 = core.InitialTemperature(eval, xrand.NewStream(g.Seed, uint64(N)+1), cfg.TempSamples)
-		})
-		scored := int64(core.TempSampleCount(cfg.TempSamples))
-		evalCount += scored
-		col.AddFullEvals(scored)
-	}
+	t0, evalCount := hostT0(col, inst, cfg, g.Seed, N)
 
 	seqBuf := cudasim.NewBufferFrom(dev, pl.randomRows())
 	bestCostBuf := cudasim.NewBuffer[int64](dev, N)
 	bestSeqBuf := cudasim.NewBuffer[int32](dev, N*n)
 	packedBuf := cudasim.NewBufferFrom(dev, []int64{math.MaxInt64})
 
-	// Per-thread candidate rows live in registers/local memory of the
-	// persistent kernel.
-	cand := make([][]int32, N)
-	positions := make([][]int, N)
-	for t := 0; t < N; t++ {
-		cand[t] = make([]int32, n)
-		positions[t] = make([]int, 0, cfg.Pert)
-	}
+	// The resident threads' evaluators share one snapshot of the job data.
+	soa := core.NewSoAInstance(inst)
 
 	// interrupted is shared by the resident threads: once any thread sees
 	// the context done, the flag also short-circuits the remaining
@@ -155,54 +105,27 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 	var interrupted atomic.Bool
 	var itersDone atomic.Int64
 	kernelCfg := pl.launchCfg("persistent")
-	err := gpuPhased(col, dev, obs.PhasePersistent, func() error {
+	err = gpuPhased(col, dev, obs.PhasePersistent, func() error {
 		return dev.Launch(kernelCfg, func(c *cudasim.Ctx) {
-			shA, shB := pl.stagePenalties(c)
+			pl.stagePenalties(c)
 			tid := c.GlobalThreadID()
 			rng := pl.rngs[tid]
 			cur := seqBuf.Raw()[tid*n : (tid+1)*n]
-			cnd := cand[tid]
-			d := c.ConstInt("d")
+			c.ConstInt("d") // due-date read, once per resident thread
 
+			// The candidate row, the perturbed positions and the evaluator
+			// live in the thread's registers/local memory.
+			cnd := make([]int32, n)
+			pos := make([]int, 0, cfg.Pert)
+			ev := core.NewBatchEvaluatorSoA(inst, soa)
 			evalRow := func(row []int32) int64 {
-				c.ChargeGlobal(n, true) // row traffic
-				c.ChargeShared(2 * n)
-				pArr := pl.loadProcessingTimes(c, tid, row)
-				var cost int64
-				var ops int
-				switch {
-				case pl.soa != nil:
-					// Genome-coded row: machine-aware scoring through the
-					// shared genome core (bit-identical to the four-kernel
-					// pipeline's batch path on the same row).
-					cost, ops = core.GenomeFitnessArrays(row, pl.soa, pl.comp[tid])
-					if pl.inst.Kind == problem.UCDDCP {
-						c.ChargeGlobal(2*n, true)
-					}
-				case pl.inst.Kind == problem.UCDDCP:
-					cost, ops = fitnessUCDDCPArrays(row, pArr, pl.mBuf.Raw(), shA, shB, pl.gammaBuf.Raw(), d, pl.comp[tid])
-					c.ChargeGlobal(2*n, true)
-				default:
-					cost, ops = fitnessCDDArrays(row, pArr, shA, shB, d, pl.comp[tid])
-				}
-				c.ChargeArith(ops)
+				cost, ops := ev.FitnessRow32(row)
+				pl.fitnessStep(c, tid, row, ops)
 				return cost
 			}
 
-			var dl *cdd.Delta[int32]
-			if pl.deltas != nil {
-				dl = pl.deltas[tid]
-			}
-			lg := bits.Len(uint(n))
-
 			var cc obs.ChainCounters
-			var curCost int64
-			if dl != nil {
-				chargeDeltaReset(c, n)
-				curCost = dl.Reset(cur)
-			} else {
-				curCost = evalRow(cur)
-			}
+			curCost := evalRow(cur)
 			cc.FullEvaluations++
 			bestCost := curCost
 			copy(bestSeqBuf.Raw()[tid*n:(tid+1)*n], cur)
@@ -217,33 +140,9 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 					break
 				}
 				done++
-				// Perturbation (as the perturb kernel).
-				copy(cnd, cur)
-				c.ChargeGlobal(2*n, true)
-				if it%cfg.ReselectPeriod == 0 || len(positions[tid]) == 0 {
-					positions[tid] = drawPositions(rng, positions[tid][:0], n, cfg.Pert)
-					c.ChargeArith(4 * cfg.Pert)
-				}
-				pos := positions[tid]
-				for i := len(pos) - 1; i > 0; i-- {
-					j := rng.Intn(i + 1)
-					a, b := pos[i], pos[j]
-					cnd[a], cnd[b] = cnd[b], cnd[a]
-				}
-				c.ChargeGlobal(2*len(pos), false)
-				c.ChargeArith(6 * len(pos))
-
-				// Fitness: incremental over the perturbed positions when the
-				// delta path is on, full O(n) pass otherwise.
-				var candCost int64
-				if dl != nil {
-					chargeDeltaPropose(c, len(pos), lg)
-					candCost = dl.Propose(cnd, pos)
-					cc.DeltaEvaluations++
-				} else {
-					candCost = evalRow(cnd)
-					cc.FullEvaluations++
-				}
+				pos = perturbStep(c, rng, cfg, it, pos, cur, cnd)
+				candCost := evalRow(cnd)
+				cc.FullEvaluations++
 
 				// Acceptance (as the accept kernel).
 				accept := candCost <= curCost
@@ -253,10 +152,6 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 				c.ChargeArith(12)
 				if accept {
 					cc.Acceptances++
-					if dl != nil {
-						dl.Commit()
-						c.ChargeArith(10 * len(pos) * lg)
-					}
 					copy(cur, cnd)
 					curCost = candCost
 					c.ChargeGlobal(2*n, true)

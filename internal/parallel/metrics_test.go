@@ -61,9 +61,8 @@ func TestMetricsEvaluationsDeterministicAcrossWorkers(t *testing.T) {
 	if base.Evaluations != 1410 {
 		t.Errorf("serial Evaluations = %d, want the golden 1410", base.Evaluations)
 	}
-	if got := base.DeltaEvaluations + base.FullEvaluations; got != base.Evaluations {
-		t.Errorf("delta %d + full %d = %d, want Evaluations %d",
-			base.DeltaEvaluations, base.FullEvaluations, got, base.Evaluations)
+	if base.FullEvaluations != base.Evaluations {
+		t.Errorf("full %d, want Evaluations %d", base.FullEvaluations, base.Evaluations)
 	}
 	if base.Acceptances == 0 || base.Improvements == 0 {
 		t.Errorf("counters empty: accepts=%d improvements=%d", base.Acceptances, base.Improvements)
@@ -71,7 +70,6 @@ func TestMetricsEvaluationsDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		m := run(true, workers)
 		if m.Evaluations != base.Evaluations ||
-			m.DeltaEvaluations != base.DeltaEvaluations ||
 			m.FullEvaluations != base.FullEvaluations ||
 			m.Acceptances != base.Acceptances ||
 			m.Improvements != base.Improvements {
@@ -107,37 +105,32 @@ func TestMetricsAgreeAcrossGPUSAEngines(t *testing.T) {
 		t.Errorf("accept counters differ: four-kernel %d/%d, persistent %d/%d",
 			km.Acceptances, km.Improvements, pm.Acceptances, pm.Improvements)
 	}
-	if km.DeltaEvaluations != pm.DeltaEvaluations || km.FullEvaluations != pm.FullEvaluations {
-		t.Errorf("eval-path counters differ: four-kernel %d/%d, persistent %d/%d",
-			km.DeltaEvaluations, km.FullEvaluations, pm.DeltaEvaluations, pm.FullEvaluations)
+	if km.FullEvaluations != pm.FullEvaluations || km.FullEvaluations != km.Evaluations {
+		t.Errorf("full passes: four-kernel %d of %d evaluations, persistent %d",
+			km.FullEvaluations, km.Evaluations, pm.FullEvaluations)
 	}
 }
 
-// TestCPUSAScoresWithFullPass: the CPU SA engines score every neighbour
-// with the full O(n) pass, so they report no delta evaluations; the
-// simulated-GPU CDD path keeps pricing candidates incrementally.
+// TestCPUSAScoresWithFullPass: every SA engine — the CPU ensembles and
+// both GPU pipelines — scores every candidate with the full O(n) pass,
+// so each full pass is one evaluation.
 func TestCPUSAScoresWithFullPass(t *testing.T) {
 	ctx := context.Background()
 	in := benchInstanceCDD(15)
 	for name, s := range map[string]core.Solver{
-		"AsyncSA": &AsyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, Metrics: core.MetricsCounters},
-		"SyncSA":  &SyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, MarkovLen: 5, Levels: 6, Metrics: core.MetricsCounters},
+		"AsyncSA":         &AsyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, Metrics: core.MetricsCounters},
+		"SyncSA":          &SyncSA{SA: goldenSA(), Ens: Ensemble{Chains: 4, Seed: 3}, MarkovLen: 5, Levels: 6, Metrics: core.MetricsCounters},
+		"GPUSA":           &GPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsCounters},
+		"PersistentGPUSA": &PersistentGPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsCounters},
 	} {
 		r, err := s.Solve(ctx, in)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if m := r.Metrics; m.DeltaEvaluations != 0 || m.FullEvaluations != m.Evaluations {
-			t.Errorf("%s: delta %d, full %d of %d evaluations; want 0 delta, all full",
-				name, m.DeltaEvaluations, m.FullEvaluations, m.Evaluations)
+		if m := r.Metrics; m.FullEvaluations != m.Evaluations || m.Evaluations != r.Evaluations {
+			t.Errorf("%s: %d full passes, %d metric evaluations, %d result evaluations; want all equal",
+				name, m.FullEvaluations, m.Evaluations, r.Evaluations)
 		}
-	}
-	r, err := (&GPUSA{SA: goldenSA(), Grid: 1, Block: 8, Seed: 6, Metrics: core.MetricsCounters}).Solve(ctx, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Metrics.DeltaEvaluations == 0 {
-		t.Error("GPUSA on CDD reports no delta evaluations")
 	}
 }
 

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -121,5 +122,29 @@ func TestPersistentOnUCDDCP(t *testing.T) {
 	eval := core.NewEvaluator(in)
 	if got := eval.Cost(res.BestSeq); got != res.BestCost {
 		t.Errorf("reported %d, evaluates to %d", res.BestCost, got)
+	}
+}
+
+// TestGPUFrontEndsRejectChainLimit: the packed best reductions index
+// threads in 20 bits, so every GPU front end must refuse a 2048 × 512
+// (2^20-thread) launch — before allocating its per-thread state, which
+// at that size alone would take over a million allocations.
+func TestGPUFrontEndsRejectChainLimit(t *testing.T) {
+	in := benchInstanceCDD(15)
+	for name, s := range map[string]core.Solver{
+		"GPUSA":           &GPUSA{SA: smallSA(), Grid: 2048, Block: 512},
+		"PersistentGPUSA": &PersistentGPUSA{SA: smallSA(), Grid: 2048, Block: 512},
+		"GPUDPSO":         &GPUDPSO{Grid: 2048, Block: 512},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() {
+			_, err = s.Solve(context.Background(), in)
+		})
+		if err == nil {
+			t.Errorf("%s: 2048 × 512 threads accepted", name)
+		}
+		if allocs > 100 {
+			t.Errorf("%s: %v allocations before rejecting the launch", name, allocs)
+		}
 	}
 }

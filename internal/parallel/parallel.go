@@ -126,8 +126,7 @@ func (a *AsyncSA) Name() string {
 // and reduces to the best solution. Results are deterministic for a
 // fixed seed regardless of Parallel, because chain i always consumes RNG
 // stream i. Each chain scores its neighbours with the full O(n) pass of
-// core.NewEvaluator: with the Commit cost counted, the delta evaluator
-// is slower or no faster in every case BenchmarkChainStep measures.
+// core.NewEvaluator, as every SA engine does.
 func (a *AsyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
 	if inst == nil {
 		inst = a.Inst

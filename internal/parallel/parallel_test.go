@@ -37,8 +37,19 @@ func benchInstanceUCDDCP(n int) *problem.Instance {
 	return ins[0]
 }
 
-// TestDeviceFitnessParityCDD pins the device-side fitness port to the
-// host evaluator, bit for bit, over random instances and sequences.
+// deviceFitness scores seq as the fitness kernels do: one int32 row
+// through the core row dispatch.
+func deviceFitness(in *problem.Instance, seq []int) int64 {
+	row := make([]int32, len(seq))
+	for i, v := range seq {
+		row[i] = int32(v)
+	}
+	cost, _ := core.NewBatchEvaluator(in).FitnessRow32(row)
+	return cost
+}
+
+// TestDeviceFitnessParityCDD pins the fitness kernels' row dispatch to
+// the host evaluator, bit for bit, over random instances and sequences.
 func TestDeviceFitnessParityCDD(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -48,25 +59,10 @@ func TestDeviceFitnessParityCDD(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := ins[rng.Intn(len(ins))]
-		seq32 := make([]int32, n)
-		seq := make([]int, n)
-		for i := range seq {
-			seq[i] = i
-		}
+		seq := problem.IdentitySequence(n)
 		rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
-		for i, v := range seq {
-			seq32[i] = int32(v)
-		}
-		p := make([]int64, n)
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i, j := range in.Jobs {
-			p[i], a[i], b[i] = int64(j.P), int64(j.Alpha), int64(j.Beta)
-		}
-		comp := make([]int64, n)
-		got, _ := fitnessCDDArrays(seq32, p, a, b, in.D, comp)
-		want := cdd.OptimizeSequence(in, seq).Cost
-		if got != want {
+		got := deviceFitness(in, seq)
+		if want := cdd.OptimizeSequence(in, seq).Cost; got != want {
 			t.Fatalf("trial %d (n=%d): device fitness %d, host evaluator %d", trial, n, got, want)
 		}
 	}
@@ -83,27 +79,10 @@ func TestDeviceFitnessParityUCDDCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := ins[0]
-		seq32 := make([]int32, n)
-		seq := make([]int, n)
-		for i := range seq {
-			seq[i] = i
-		}
+		seq := problem.IdentitySequence(n)
 		rng.Shuffle(n, func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
-		for i, v := range seq {
-			seq32[i] = int32(v)
-		}
-		p := make([]int64, n)
-		m := make([]int64, n)
-		a := make([]int64, n)
-		b := make([]int64, n)
-		gm := make([]int64, n)
-		for i, j := range in.Jobs {
-			p[i], m[i], a[i], b[i], gm[i] = int64(j.P), int64(j.M), int64(j.Alpha), int64(j.Beta), int64(j.Gamma)
-		}
-		comp := make([]int64, n)
-		got, _ := fitnessUCDDCPArrays(seq32, p, m, a, b, gm, in.D, comp)
-		want := ucddcp.OptimizeSequence(in, seq).Cost
-		if got != want {
+		got := deviceFitness(in, seq)
+		if want := ucddcp.OptimizeSequence(in, seq).Cost; got != want {
 			t.Fatalf("trial %d (n=%d): device fitness %d, host evaluator %d", trial, n, got, want)
 		}
 	}

@@ -155,7 +155,8 @@ var (
 	ErrMachines = errors.New("invalid machine count")
 )
 
-// Validate checks structural invariants of the instance. It returns a
+// Validate checks structural invariants of the instance, and that an
+// upper bound on its objective stays below CostLimit. It returns a
 // descriptive error for the first violated invariant, or nil.
 func (in *Instance) Validate() error {
 	if in.Kind != CDD && in.Kind != UCDDCP && in.Kind != EARLYWORK {
@@ -187,7 +188,63 @@ func (in *Instance) Validate() error {
 	if in.Kind == UCDDCP && in.Restrictive() {
 		return fmt.Errorf("problem: UCDDCP requires d >= ΣP (unrestricted), got d=%d < ΣP=%d", in.D, in.SumP())
 	}
+	if b := in.costBound(); b >= CostLimit {
+		return fmt.Errorf("problem: %v objective bound %d reaches the cost limit 2^%d", in.Kind, b, CostBits)
+	}
 	return nil
+}
+
+// CostBits is the width of the objective values the solvers handle: the
+// ensemble and GPU engines pack a cost and a chain index into one int64
+// for their atomic-min reductions, and the cost gets CostBits of its bits.
+const CostBits = 43
+
+// CostLimit is the exclusive bound 2^CostBits on instance objectives:
+// Validate rejects an instance when an upper bound on the objective of
+// its schedules reaches it.
+const CostLimit int64 = 1 << CostBits
+
+// costBound returns an upper bound on the objective of the instance's
+// schedules, saturated at CostLimit (so it never overflows):
+//
+//	CDD        Σ max(α_j, β_j) · ΣP — an optimally timed sequence
+//	           completes every job within ΣP of d;
+//	UCDDCP     the CDD bound plus Σ γ_j·(P_j − M_j), full compression;
+//	EARLYWORK  ΣP, the total work (late work cannot exceed it).
+//
+// It assumes the per-job fields are non-negative, as Validate checks
+// first.
+func (in *Instance) costBound() int64 {
+	var sumP, rate, comp int64
+	for _, j := range in.Jobs {
+		sumP = satAdd(sumP, int64(j.P))
+		rate = satAdd(rate, int64(max(j.Alpha, j.Beta)))
+		comp = satAdd(comp, satMul(int64(j.Gamma), int64(j.P-j.M)))
+	}
+	switch in.Kind {
+	case EARLYWORK:
+		return sumP
+	case UCDDCP:
+		return satAdd(satMul(rate, sumP), comp)
+	default:
+		return satMul(rate, sumP)
+	}
+}
+
+// satAdd and satMul are non-negative addition and multiplication
+// saturating at CostLimit.
+func satAdd(a, b int64) int64 {
+	if a >= CostLimit-b {
+		return CostLimit
+	}
+	return a + b
+}
+
+func satMul(a, b int64) int64 {
+	if a != 0 && b >= (CostLimit+a-1)/a {
+		return CostLimit
+	}
+	return a * b
 }
 
 // Clone returns a deep copy of the instance.

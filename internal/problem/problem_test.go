@@ -1,6 +1,7 @@
 package problem
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -209,5 +210,50 @@ func TestVShapeViolationsOnSortedSchedule(t *testing.T) {
 	s2 := Schedule{Seq: desc, Start: 0}
 	if v := VShapeViolations(in2, &s2); v != 0 {
 		t.Errorf("sorted early-side violations = %d, want 0", v)
+	}
+}
+
+// TestValidateCostLimit: an instance is admitted exactly when its
+// objective bound stays below CostLimit — Σ max(α, β)·ΣP for CDD, plus
+// Σ γ·(P − M) for UCDDCP, ΣP for EARLYWORK — and huge fields saturate
+// instead of wrapping.
+func TestValidateCostLimit(t *testing.T) {
+	// ΣP = 4096 = 2^12 and Σ max(α, β) = 2^31 − 1: bound 2^43 − 4096.
+	under := func() *Instance {
+		in, err := NewCDD("under", []int{1024, 2048, 1024}, []int{715827882, 1, 715827882}, []int{1, 715827883, 0}, 0)
+		if err != nil {
+			t.Fatalf("bound 2^43 − 4096 rejected: %v", err)
+		}
+		return in
+	}
+	in := under()
+	in.Jobs[2].Alpha++ // bound 2^43
+	if err := in.Validate(); err == nil {
+		t.Error("CDD bound of exactly 2^43 accepted")
+	}
+
+	uc := under()
+	uc.Kind, uc.D = UCDDCP, 4096
+	if err := uc.Validate(); err != nil {
+		t.Fatalf("UCDDCP without compression: %v", err)
+	}
+	uc.Jobs[0].M, uc.Jobs[0].Gamma = 1020, 1024 // + 4·1024 = 2^43
+	if err := uc.Validate(); err == nil {
+		t.Error("UCDDCP bound of exactly 2^43 accepted")
+	}
+
+	ew := &Instance{Kind: EARLYWORK, D: 1, Machines: 2, Jobs: []Job{{P: 1 << 42, M: 1 << 42}, {P: 1<<42 - 1, M: 1<<42 - 1}}}
+	if err := ew.Validate(); err != nil {
+		t.Fatalf("EARLYWORK with ΣP = 2^43 − 1: %v", err)
+	}
+	ew.Jobs[1].P++
+	ew.Jobs[1].M++
+	if err := ew.Validate(); err == nil {
+		t.Error("EARLYWORK with ΣP = 2^43 accepted")
+	}
+
+	huge := &Instance{Kind: CDD, Jobs: []Job{{P: math.MaxInt, M: math.MaxInt, Alpha: math.MaxInt}, {P: math.MaxInt, M: math.MaxInt, Beta: 1}}}
+	if err := huge.Validate(); err == nil {
+		t.Error("instance with MaxInt fields accepted")
 	}
 }

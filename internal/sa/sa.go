@@ -79,9 +79,11 @@ const (
 	NeighborMixed
 )
 
-// normalized returns the config with unset fields defaulted and bounds
-// enforced, so Chain code can assume sanity.
-func (c Config) normalized(n int) Config {
+// Normalized returns the config for sequences of length n with unset
+// fields defaulted and bounds enforced (Pert at most n), so chain code
+// can assume sanity. Every SA engine — the CPU chains and both GPU
+// pipelines — runs the normalized config.
+func (c Config) Normalized(n int) Config {
 	d := DefaultConfig()
 	if c.Iterations <= 0 {
 		c.Iterations = d.Iterations
@@ -107,15 +109,13 @@ func (c Config) normalized(n int) Config {
 // Chain is one annealing trajectory. It owns all its scratch state, so
 // distinct chains may run concurrently.
 type Chain struct {
-	cfg   Config
-	eval  core.Evaluator
-	delta core.DeltaEvaluator // non-nil when eval supports propose/commit
-	rng   *xrand.XORWOW
+	cfg  Config
+	eval core.Evaluator
+	rng  *xrand.XORWOW
 
 	cur     []int
 	cand    []int
 	pos     []int // the Pert positions currently perturbed
-	touched []int // positions the last Neighbour call may have changed
 	curCost int64
 
 	best     []int
@@ -128,43 +128,30 @@ type Chain struct {
 
 	// Plain-int64 tallies for the observability layer; always maintained
 	// (a few register increments per step) and folded into a run's
-	// obs.Collector through Counters.
-	deltaEvals int64
-	fullEvals  int64
-	accepts    int64
-	improves   int64
+	// obs.Collector through Counters (every evaluation is a full pass, so
+	// evals doubles as the full-pass count).
+	accepts  int64
+	improves int64
 }
 
 // NewChain builds a chain over the evaluator with its own RNG stream. The
 // initial solution is a uniformly random sequence; the initial
-// temperature follows the config. When the evaluator implements
-// core.DeltaEvaluator, the chain prices each neighbour incrementally
-// through the propose/commit protocol — the costs (and therefore the
-// trajectory) are bit-identical to full evaluation. That is not faster:
-// in every case BenchmarkChainStep times, a step over core.NewEvaluator
-// is faster than one over core.NewDeltaEvaluator or within noise of it,
-// so production chains take the full pass.
+// temperature follows the config. Every candidate is scored with one
+// full O(n) pass of eval.Cost.
 func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 	n := eval.Instance().GenomeLen()
-	cfg = cfg.normalized(n)
+	cfg = cfg.Normalized(n)
 	c := &Chain{
-		cfg:     cfg,
-		eval:    eval,
-		rng:     rng,
-		cur:     perm.Random(rng, n),
-		cand:    make([]int, n),
-		pos:     make([]int, 0, cfg.Pert),
-		touched: make([]int, 0, n),
-		best:    make([]int, n),
+		cfg:  cfg,
+		eval: eval,
+		rng:  rng,
+		cur:  perm.Random(rng, n),
+		cand: make([]int, n),
+		pos:  make([]int, 0, cfg.Pert),
+		best: make([]int, n),
 	}
-	if de, ok := eval.(core.DeltaEvaluator); ok {
-		c.delta = de
-		c.curCost = de.Reset(c.cur)
-	} else {
-		c.curCost = eval.Cost(c.cur)
-	}
+	c.curCost = eval.Cost(c.cur)
 	c.evals++
-	c.fullEvals++
 	copy(c.best, c.cur)
 	c.bestCost = c.curCost
 	c.temp = cfg.T0
@@ -172,7 +159,6 @@ func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 		c.temp = core.InitialTemperature(eval, rng, cfg.TempSamples)
 		scored := int64(core.TempSampleCount(cfg.TempSamples))
 		c.evals += scored
-		c.fullEvals += scored
 	}
 	if cfg.Schedule != Exponential {
 		c.cooler = NewCooler(cfg.Schedule, c.temp, cfg.Cooling, cfg.Iterations, cfg.ReheatPeriod, cfg.ReheatFactor)
@@ -185,9 +171,6 @@ func NewChain(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Chain {
 func (c *Chain) SetSolution(seq []int, cost int64) {
 	copy(c.cur, seq)
 	c.curCost = cost
-	if c.delta != nil {
-		c.delta.Reset(c.cur)
-	}
 	if cost < c.bestCost {
 		copy(c.best, seq)
 		c.bestCost = cost
@@ -211,54 +194,39 @@ func (c *Chain) Evaluations() int64 { return c.evals }
 // satisfies obs.CounterSource.
 func (c *Chain) Counters() obs.ChainCounters {
 	return obs.ChainCounters{
-		DeltaEvaluations: c.deltaEvals,
-		FullEvaluations:  c.fullEvals,
-		Acceptances:      c.accepts,
-		Improvements:     c.improves,
+		FullEvaluations: c.evals,
+		Acceptances:     c.accepts,
+		Improvements:    c.improves,
 	}
 }
 
 // Neighbour writes a perturbed copy of the current sequence into the
 // chain's candidate buffer and returns it (borrowed). For the default
 // shuffle operator the positions are re-drawn every ReselectPeriod
-// iterations, per Section VI of the paper. Each move records the touched
-// positions so an incremental evaluator can price the candidate in
-// O(touched) rather than O(n).
+// iterations, per Section VI of the paper.
 func (c *Chain) Neighbour() []int {
 	copy(c.cand, c.cur)
 	switch c.cfg.Neighborhood {
 	case NeighborSwap:
-		i, j := perm.Swap(c.rng, c.cand)
-		c.touched = append(c.touched[:0], i, j)
+		perm.Swap(c.rng, c.cand)
 	case NeighborInsert:
-		c.touchRange(perm.Insert(c.rng, c.cand))
+		perm.Insert(c.rng, c.cand)
 	case NeighborReverse:
-		c.touchRange(perm.ReverseSegment(c.rng, c.cand))
+		perm.ReverseSegment(c.rng, c.cand)
 	case NeighborMixed:
 		if c.iter%c.cfg.ReselectPeriod == 0 || len(c.pos) == 0 {
 			c.drawPositions()
 			c.shuffleAtPositions(c.cand)
-			c.touched = append(c.touched[:0], c.pos...)
 		} else {
-			i, j := perm.Swap(c.rng, c.cand)
-			c.touched = append(c.touched[:0], i, j)
+			perm.Swap(c.rng, c.cand)
 		}
 	default:
 		if c.iter%c.cfg.ReselectPeriod == 0 || len(c.pos) == 0 {
 			c.drawPositions()
 		}
 		c.shuffleAtPositions(c.cand)
-		c.touched = append(c.touched[:0], c.pos...)
 	}
 	return c.cand
-}
-
-// touchRange records the inclusive window [lo, hi] as touched positions.
-func (c *Chain) touchRange(lo, hi int) {
-	c.touched = c.touched[:0]
-	for p := lo; p <= hi; p++ {
-		c.touched = append(c.touched, p)
-	}
 }
 
 // drawPositions samples Pert distinct positions uniformly.
@@ -296,24 +264,11 @@ func (c *Chain) shuffleAtPositions(seq []int) {
 }
 
 // Step performs one SA iteration: neighbour, evaluate, metropolis accept,
-// cool. It returns the candidate's cost (whether accepted or not). With an
-// incremental evaluator the candidate is priced by Propose over the
-// touched positions and the cache advances by Commit only on acceptance.
+// cool. It returns the candidate's cost (whether accepted or not).
 func (c *Chain) Step() int64 {
-	cand := c.Neighbour()
-	var candCost int64
-	if c.delta != nil {
-		candCost = c.delta.Propose(cand, c.touched)
-		c.deltaEvals++
-	} else {
-		candCost = c.eval.Cost(cand)
-		c.fullEvals++
-	}
+	candCost := c.eval.Cost(c.Neighbour())
 	c.evals++
 	if c.accept(candCost) {
-		if c.delta != nil {
-			c.delta.Commit()
-		}
 		c.cur, c.cand = c.cand, c.cur
 		c.curCost = candCost
 		c.accepts++

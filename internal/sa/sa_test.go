@@ -7,6 +7,7 @@ import (
 	"repro/internal/cdd"
 	"repro/internal/core"
 	"repro/internal/problem"
+	"repro/internal/ucddcp"
 	"repro/internal/xrand"
 )
 
@@ -290,11 +291,11 @@ func TestOneTempSampleCountsTwo(t *testing.T) {
 }
 
 func TestConfigNormalization(t *testing.T) {
-	cfg := Config{Pert: 100}.normalized(5)
+	cfg := Config{Pert: 100}.Normalized(5)
 	if cfg.Pert != 5 {
 		t.Errorf("Pert clamped to %d, want 5", cfg.Pert)
 	}
-	cfg = Config{Cooling: 2.0}.normalized(5)
+	cfg = Config{Cooling: 2.0}.Normalized(5)
 	if cfg.Cooling != 0.88 {
 		t.Errorf("invalid cooling defaulted to %v, want 0.88", cfg.Cooling)
 	}
@@ -342,40 +343,46 @@ func TestMetropolisStatistics(t *testing.T) {
 	}
 }
 
-// TestDeltaChainMatchesPlainChain runs the same seeded chain once over the
-// plain full-pass evaluator and once over the incremental propose/commit
-// evaluator, for every neighbourhood operator and both problem kinds. The
-// delta evaluator returns bit-identical costs, so every metropolis
-// decision — and hence the whole trajectory — must coincide step for step.
+// TestDeltaChainMatchesPlainChain runs the same seeded chain once over
+// the production evaluator (core.NewEvaluator) and once over the kind's
+// own host evaluator (cdd.NewEvaluator, ucddcp.NewEvaluator), for every
+// neighbourhood operator and both problem kinds. Both return
+// bit-identical costs, so every metropolis decision — and hence the
+// whole trajectory — must coincide step for step.
 func TestDeltaChainMatchesPlainChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	kinds := []func() *problem.Instance{
-		func() *problem.Instance { return randomCDD(rng, 40) },
-		func() *problem.Instance { return problem.PaperExample(problem.UCDDCP) },
+	cddIn := randomCDD(rng, 40)
+	ucIn := problem.PaperExample(problem.UCDDCP)
+	kinds := []struct {
+		in   *problem.Instance
+		eval func() core.Evaluator
+	}{
+		{cddIn, func() core.Evaluator { return cdd.NewEvaluator(cddIn) }},
+		{ucIn, func() core.Evaluator { return ucddcp.NewEvaluator(ucIn) }},
 	}
 	ops := []NeighborOp{NeighborShuffle, NeighborSwap, NeighborInsert, NeighborReverse, NeighborMixed}
-	for ki, mk := range kinds {
-		in := mk()
+	for ki, k := range kinds {
+		in := k.in
 		for _, op := range ops {
 			cfg := DefaultConfig()
 			cfg.Iterations = 250
 			cfg.TempSamples = 60
 			cfg.Neighborhood = op
 			plain := NewChain(cfg, core.NewEvaluator(in), xrand.New(99))
-			delta := NewChain(cfg, core.NewDeltaEvaluator(in), xrand.New(99))
+			delta := NewChain(cfg, k.eval(), xrand.New(99))
 			for it := 0; it < cfg.Iterations; it++ {
 				a, b := plain.Step(), delta.Step()
 				if a != b {
-					t.Fatalf("kind %d op %v iter %d: plain cand cost %d, delta %d", ki, op, it, a, b)
+					t.Fatalf("kind %d op %v iter %d: core cand cost %d, per-kind %d", ki, op, it, a, b)
 				}
 			}
 			_, pc := plain.Best()
 			_, dc := delta.Best()
 			if pc != dc {
-				t.Fatalf("kind %d op %v: best plain %d, delta %d", ki, op, pc, dc)
+				t.Fatalf("kind %d op %v: best core %d, per-kind %d", ki, op, pc, dc)
 			}
 			if plain.Evaluations() != delta.Evaluations() {
-				t.Fatalf("kind %d op %v: evaluations plain %d, delta %d", ki, op, plain.Evaluations(), delta.Evaluations())
+				t.Fatalf("kind %d op %v: evaluations core %d, per-kind %d", ki, op, plain.Evaluations(), delta.Evaluations())
 			}
 		}
 	}

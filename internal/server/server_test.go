@@ -426,6 +426,10 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"negative-machine-count",
 			`{"instance":{"name":"x","kind":"CDD","dueDate":5,"machines":-2,"jobs":[{"p":1,"alpha":1,"beta":1}]}}`,
 			http.StatusUnprocessableEntity, CodeInvalidMachines},
+		{"objective-overflow",
+			`{"instance":{"name":"x","kind":"CDD","dueDate":0,"jobs":[{"p":1000000,"alpha":10000000,"beta":10000000},` +
+				`{"p":2000000,"alpha":10000000,"beta":12000000},{"p":1500000,"alpha":10000000,"beta":11000000}]}}`,
+			http.StatusBadRequest, CodeInvalidRequest},
 		{"invalid-instance-no-jobs",
 			`{"instance":{"name":"x","kind":"CDD","dueDate":5,"jobs":[]}}`,
 			http.StatusBadRequest, CodeInvalidRequest},

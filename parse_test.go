@@ -195,6 +195,16 @@ func TestValidateOptions(t *testing.T) {
 	if _, err := duedate.ValidateOptions(duedate.Options{Workers: -3, Engine: duedate.EngineCPUParallel}); !errors.Is(err, duedate.ErrInvalidOptions) {
 		t.Errorf("negative workers: %v (want ErrInvalidOptions)", err)
 	}
+	// Grid·Block must stay below the 2^20 chains the best reductions
+	// index, and a product that would overflow int must not wrap.
+	for _, g := range []struct{ grid, block int }{{2048, 512}, {1 << 40, 1 << 40}} {
+		if _, err := duedate.ValidateOptions(duedate.Options{Grid: g.grid, Block: g.block}); !errors.Is(err, duedate.ErrInvalidOptions) {
+			t.Errorf("Grid %d × Block %d: %v (want ErrInvalidOptions)", g.grid, g.block, err)
+		}
+	}
+	if _, err := duedate.ValidateOptions(duedate.Options{Grid: 2048, Block: 511}); err != nil {
+		t.Errorf("Grid 2048 × Block 511 (2^20 − 2048 chains): %v", err)
+	}
 	// The returned options are the normalized ones SolveContext runs.
 	opts, err := duedate.ValidateOptions(duedate.Options{Algorithm: duedate.Auto, Engine: duedate.EngineGPU, Iterations: 7})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cdd"
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/problem"
 	"repro/internal/ucddcp"
 )
@@ -120,7 +121,9 @@ type Options struct {
 	Iterations int
 	// Grid and Block set the GPU geometry (default 4 × 192); for CPU
 	// engines Grid·Block is the ensemble size. Negative values are
-	// rejected (only zero means "use the default").
+	// rejected (only zero means "use the default"), and so is a
+	// Grid·Block of 2^20 or more: the engines' best reductions index
+	// chains in 20 bits.
 	Grid, Block int
 	// Seed derives all RNG streams. Zero is a sentinel for "unset" and
 	// is rewritten to 1, so Seed 0 and Seed 1 produce identical runs —
@@ -176,6 +179,9 @@ func (o Options) normalized() (Options, error) {
 	}
 	if o.Block == 0 {
 		o.Block = 192
+	}
+	if err := parallel.CheckChains(o.Grid, o.Block); err != nil {
+		return o, fmt.Errorf("duedate: %w: Grid·Block: %v", ErrInvalidOptions, err)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
