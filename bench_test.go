@@ -516,3 +516,23 @@ func BenchmarkSolvePublicAPI(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGPUSASolve times one whole simulated-GPU SA solve in the
+// geometry of the benchmark module's gpu-ucddcp workload (2 × 32
+// threads, 100 four-kernel iterations, the default 5000-sample host T₀
+// estimate), so launch overhead and per-launch allocations show up next
+// to the kernels' own work.
+func BenchmarkGPUSASolve(b *testing.B) {
+	b.Run("UCDDCP/n100", func(b *testing.B) {
+		in := benchInstance(b, problem.UCDDCP, 100)
+		cfg := sa.DefaultConfig()
+		cfg.Iterations = 100
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := (&parallel.GPUSA{SA: cfg, Grid: 2, Block: 32, Seed: benchSeed}).Solve(context.Background(), in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

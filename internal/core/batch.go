@@ -144,20 +144,11 @@ func (e *BatchEvaluator) CostSeqs(seqs [][]int, costs []int64) {
 	}
 }
 
-// FitnessRows32 scores B = len(costs) device rows and records each row's
-// abstract operation count into ops — the quantity the simulated GPU
-// converts into cycle charges.
-func (e *BatchEvaluator) FitnessRows32(rows []int32, costs []int64, ops []int) {
-	L := e.soa.L
-	for i := range costs {
-		costs[i], ops[i] = e.FitnessRow32(rows[i*L : (i+1)*L])
-	}
-}
-
 // FitnessRow32 is the core row dispatch: it scores one device row (a
 // delimiter genome on genome-coded snapshots, otherwise the single
 // machine's sequence) with the kind's O(n) linear algorithm and returns
-// its cost and abstract operation count.
+// its cost and abstract operation count — the quantity the simulated GPU
+// converts into cycle charges.
 func (e *BatchEvaluator) FitnessRow32(row []int32) (cost int64, ops int) {
 	if e.soa.genomeCoded() {
 		return GenomeFitnessArrays(row, e.soa, e.comp)

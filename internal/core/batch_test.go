@@ -63,7 +63,7 @@ func singleFitness(be *BatchEvaluator, seq []int) (int64, int) {
 
 // checkBatchAgainstSingle scores the given sequences through every face
 // of the batch API — Cost, CostSeqs, CostRows, CostRows32 and
-// FitnessRows32 — and requires each cost (and each FitnessRows32 op
+// FitnessRow32 — and requires each cost (and each FitnessRow32 op
 // count) to equal the per-sequence single-row path.
 func checkBatchAgainstSingle(t *testing.T, in *problem.Instance, seqs [][]int) {
 	t.Helper()
@@ -111,13 +111,11 @@ func checkBatchAgainstSingle(t *testing.T, in *problem.Instance, seqs [][]int) {
 			t.Errorf("%s n=%d B=%d: CostRows32[%d] = %d, want %d", in.Kind, n, b, i, got[i], want[i])
 		}
 	}
-	clear(got)
-	ops := make([]int, b)
-	be.FitnessRows32(rows32, got, ops)
-	for i := range got {
-		if got[i] != want[i] || ops[i] != wantOps[i] {
-			t.Errorf("%s n=%d B=%d: FitnessRows32[%d] = (%d, %d ops), want (%d, %d ops)",
-				in.Kind, n, b, i, got[i], ops[i], want[i], wantOps[i])
+	for i := range want {
+		got, ops := be.FitnessRow32(rows32[i*n : (i+1)*n])
+		if got != want[i] || ops != wantOps[i] {
+			t.Errorf("%s n=%d B=%d: FitnessRow32(row %d) = (%d, %d ops), want (%d, %d ops)",
+				in.Kind, n, b, i, got, ops, want[i], wantOps[i])
 		}
 	}
 }
@@ -256,7 +254,7 @@ func batchInstanceFromBytes(kind problem.Kind, data []byte, dRaw uint64) *proble
 
 // FuzzBatchEvaluator feeds fuzzer-chosen instances of both kinds and
 // random sequence batches through every batch face and cross-checks
-// costs (and FitnessRows32 op counts) against the per-sequence
+// costs (and FitnessRow32 op counts) against the per-sequence
 // OptimizeArrays path. The batch core promises bit-identical results;
 // any divergence is a bug in the batch row kernels.
 func FuzzBatchEvaluator(f *testing.F) {

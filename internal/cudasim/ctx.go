@@ -28,12 +28,56 @@ type Ctx struct {
 }
 
 // blockState is the per-block cooperative state: the __syncthreads
-// barrier and the shared-memory slot registry.
+// barrier and the shared-memory slot registry. Its slot arrays outlive
+// the block (they belong to a reused block scratch); a slot counts as
+// live only once a thread of the current block has asked for it.
 type blockState struct {
 	barrier *barrier
 	mu      sync.Mutex
-	shared  [][]int64
-	sharedF [][]float64
+	shared  sharedSlots[int64]
+	sharedF sharedSlots[float64]
+}
+
+// reset readies the state for a new block: no barrier, no live slot.
+func (b *blockState) reset() {
+	b.barrier = nil
+	b.shared.reset()
+	b.sharedF.reset()
+}
+
+// sharedSlots holds one element type's shared-memory arrays, indexed by
+// slot. live marks the slots already handed out in the current block.
+type sharedSlots[T int64 | float64] struct {
+	arrays [][]T
+	live   []bool
+}
+
+func (s *sharedSlots[T]) reset() { clear(s.live) }
+
+// get returns the slot's array of the given size: zeroed on its first
+// use in the block (reusing the capacity of earlier blocks), shared by
+// every later call. A later call with another size panics.
+func (s *sharedSlots[T]) get(slot, size int) []T {
+	for len(s.arrays) <= slot {
+		s.arrays = append(s.arrays, nil)
+		s.live = append(s.live, false)
+	}
+	a := s.arrays[slot]
+	if s.live[slot] {
+		if len(a) != size {
+			panic("cudasim: shared slot reallocated with a different size")
+		}
+		return a
+	}
+	if cap(a) < size {
+		a = make([]T, size)
+	} else {
+		a = a[:size]
+		clear(a)
+	}
+	s.arrays[slot] = a
+	s.live[slot] = true
+	return a
 }
 
 // GlobalThreadID returns the flattened unique thread index across the
@@ -97,9 +141,7 @@ func (c *Ctx) chargeCompute(cycles uint64) { c.computeCycles += cycles }
 func (c *Ctx) ConstInt(name string) int64 {
 	c.computeCycles += CyclesConstant
 	c.counts.constReads++
-	c.dev.mu.Lock()
-	v, ok := c.dev.constantI[name]
-	c.dev.mu.Unlock()
+	v, ok := c.dev.consts.Load().ints[name]
 	if !ok {
 		panic("cudasim: constant memory symbol not set: " + name)
 	}
@@ -110,9 +152,7 @@ func (c *Ctx) ConstInt(name string) int64 {
 func (c *Ctx) ConstFloat(name string) float64 {
 	c.computeCycles += CyclesConstant
 	c.counts.constReads++
-	c.dev.mu.Lock()
-	v, ok := c.dev.constantF[name]
-	c.dev.mu.Unlock()
+	v, ok := c.dev.consts.Load().floats[name]
 	if !ok {
 		panic("cudasim: constant memory symbol not set: " + name)
 	}
@@ -120,23 +160,15 @@ func (c *Ctx) ConstFloat(name string) float64 {
 }
 
 // SharedInt64 returns the block's shared int64 array for the given slot,
-// allocating it on first use. All threads of a block receive the same
-// backing array; distinct slots are distinct arrays. Accesses through the
-// returned slice are raw — account them with ChargeShared, and order
+// zeroed on its first use in the block. All threads of a block receive the
+// same backing array; distinct slots are distinct arrays. Accesses through
+// the returned slice are raw — account them with ChargeShared, and order
 // cross-thread use with SyncThreads, exactly as on real hardware.
 func (c *Ctx) SharedInt64(slot, size int) []int64 {
 	b := c.block
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.shared) <= slot {
-		b.shared = append(b.shared, nil)
-	}
-	if b.shared[slot] == nil {
-		b.shared[slot] = make([]int64, size)
-	} else if len(b.shared[slot]) != size {
-		panic("cudasim: shared slot reallocated with a different size")
-	}
-	return b.shared[slot]
+	return b.shared.get(slot, size)
 }
 
 // SharedFloat64 is SharedInt64 for float64 arrays.
@@ -144,15 +176,7 @@ func (c *Ctx) SharedFloat64(slot, size int) []float64 {
 	b := c.block
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.sharedF) <= slot {
-		b.sharedF = append(b.sharedF, nil)
-	}
-	if b.sharedF[slot] == nil {
-		b.sharedF[slot] = make([]float64, size)
-	} else if len(b.sharedF[slot]) != size {
-		panic("cudasim: shared slot reallocated with a different size")
-	}
-	return b.sharedF[slot]
+	return b.sharedF.get(slot, size)
 }
 
 // barrier is a reusable counting barrier for one block's threads.

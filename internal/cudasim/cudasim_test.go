@@ -1,6 +1,7 @@
 package cudasim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -382,12 +383,19 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// BenchmarkLaunchOverheadSequential times an empty non-cooperative
+// launch in the paper's 4 × 192 geometry and in the 2 × 32 geometry of
+// the benchmark module's gpu-ucddcp workload.
 func BenchmarkLaunchOverheadSequential(b *testing.B) {
-	d := testDevice()
-	cfg := LaunchConfig{Name: "nop", Grid: Dim(4), Block: Dim(192)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.MustLaunch(cfg, func(c *Ctx) {})
+	for _, geo := range []struct{ grid, block int }{{4, 192}, {2, 32}} {
+		b.Run(fmt.Sprintf("%dx%d", geo.grid, geo.block), func(b *testing.B) {
+			d := testDevice()
+			cfg := LaunchConfig{Name: "nop", Grid: Dim(geo.grid), Block: Dim(geo.block)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d.MustLaunch(cfg, func(c *Ctx) {})
+			}
+		})
 	}
 }
 

@@ -2,18 +2,22 @@ package cudasim
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Device is a simulated CUDA device. It owns the constant-memory bank, the
 // profiler, and the simulated clock. Buffers are allocated against a
 // device with NewBuffer.
 //
-// Kernel launches execute eagerly on the calling goroutine's control flow
-// (blocks fan out over a host worker pool), which preserves the FIFO
-// semantics of CUDA's default stream; Synchronize exists for API fidelity
-// with the paper's host code and flushes nothing further.
+// Kernel launches execute eagerly: the launching goroutine runs blocks
+// itself while up to GOMAXPROCS−1 helper goroutines claim the rest, and
+// every block runs in host memory (thread contexts, shared memory) reused
+// from earlier launches. This preserves the FIFO semantics of CUDA's
+// default stream; Synchronize exists for API fidelity with the paper's
+// host code and flushes nothing further.
 type Device struct {
 	spec    DeviceSpec
 	workers int
@@ -21,11 +25,22 @@ type Device struct {
 	mu         sync.Mutex
 	simTime    float64 // accumulated simulated device seconds
 	allocBytes int64   // live device-memory allocations
-	constantI  map[string]int64
-	constantF  map[string]float64
+
+	// consts is the constant-memory bank. Kernels read it without a lock;
+	// SetConstant* copies it and swaps the copy in under mu.
+	consts atomic.Pointer[constBank]
+
+	scratchMu sync.Mutex
+	scratch   []*blockScratch // free block scratches, reused by launches
 
 	prof  *Profiler
 	trace *tracer
+}
+
+// constBank is one immutable snapshot of constant memory.
+type constBank struct {
+	ints   map[string]int64
+	floats map[string]float64
 }
 
 // NewDevice creates a device with the given spec. It panics on an invalid
@@ -34,13 +49,13 @@ func NewDevice(spec DeviceSpec) *Device {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Device{
-		spec:      spec,
-		workers:   runtime.GOMAXPROCS(0),
-		constantI: make(map[string]int64),
-		constantF: make(map[string]float64),
-		prof:      newProfiler(),
+	d := &Device{
+		spec:    spec,
+		workers: runtime.GOMAXPROCS(0),
+		prof:    newProfiler(),
 	}
+	d.consts.Store(&constBank{})
+	return d
 }
 
 // Spec returns the device's hardware description.
@@ -97,15 +112,25 @@ func (d *Device) release(bytes int64) {
 // mechanism.
 func (d *Device) SetConstantInt(name string, v int64) {
 	d.mu.Lock()
-	d.constantI[name] = v
+	old := d.consts.Load()
+	d.consts.Store(&constBank{ints: withEntry(old.ints, name, v), floats: old.floats})
 	d.mu.Unlock()
 }
 
 // SetConstantFloat stores a float in simulated constant memory.
 func (d *Device) SetConstantFloat(name string, v float64) {
 	d.mu.Lock()
-	d.constantF[name] = v
+	old := d.consts.Load()
+	d.consts.Store(&constBank{ints: old.ints, floats: withEntry(old.floats, name, v)})
 	d.mu.Unlock()
+}
+
+// withEntry returns a copy of m with name set to v.
+func withEntry[T any](m map[string]T, name string, v T) map[string]T {
+	c := make(map[string]T, len(m)+1)
+	maps.Copy(c, m)
+	c[name] = v
+	return c
 }
 
 // Synchronize blocks until all queued work completes. Launches execute
@@ -145,6 +170,20 @@ type LaunchConfig struct {
 // Kernel is the device function type: one invocation per thread.
 type Kernel func(ctx *Ctx)
 
+// launch is the shared state of one Launch: the next unclaimed block,
+// the per-block costs and the first panic raised by device code.
+type launch struct {
+	d         *Device
+	cfg       LaunchConfig
+	kernel    Kernel
+	blocks    int
+	next      atomic.Int64
+	costs     []blockCost
+	helpers   sync.WaitGroup
+	panicOnce sync.Once
+	panicVal  any
+}
+
 // Launch validates the configuration and executes the kernel over the
 // whole grid. It returns once every thread has finished, with the
 // simulated clock advanced per the timing model.
@@ -163,42 +202,55 @@ func (d *Device) Launch(cfg LaunchConfig, kernel Kernel) error {
 	}
 
 	numBlocks := cfg.Grid.Count()
-	blockCycles := make([]blockCost, numBlocks)
+	l := &launch{d: d, cfg: cfg, kernel: kernel, blocks: numBlocks, costs: make([]blockCost, numBlocks)}
 
-	// Fan blocks out over the host worker pool. Panics in device code are
-	// captured and re-raised on the launching goroutine (the analogue of a
-	// device-side assert aborting the kernel).
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicVal any
-	sem := make(chan struct{}, d.workers)
-	for b := 0; b < numBlocks; b++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(b int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-				}
-			}()
-			blockCycles[b] = d.runBlock(cfg, b, kernel)
-		}(b)
+	// The launching goroutine runs blocks itself; up to workers−1
+	// helpers claim the rest from the same counter.
+	helpers := min(d.workers, numBlocks) - 1
+	l.helpers.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go func() {
+			defer l.helpers.Done()
+			l.work()
+		}()
 	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+	l.work()
+	l.helpers.Wait()
+	// A panic in device code is re-raised on the launching goroutine
+	// (the analogue of a device-side assert aborting the kernel).
+	if l.panicVal != nil {
+		panic(l.panicVal)
 	}
 
-	seconds := d.kernelSeconds(cfg, blockCycles)
+	seconds := d.kernelSeconds(cfg, l.costs)
 	d.mu.Lock()
 	startAt := d.simTime
 	d.simTime += seconds
 	d.mu.Unlock()
-	d.prof.recordKernel(cfg, blockCycles, seconds)
+	d.prof.recordKernel(cfg, l.costs, seconds)
 	d.recordTraceEvent(cfg.Name, "kernel", startAt, seconds, 0)
 	return nil
+}
+
+// work runs blocks of the launch until none is left unclaimed, on one
+// block scratch taken from the device for the duration. The first
+// panic is kept for Launch to re-raise and stops further claims.
+func (l *launch) work() {
+	s := l.d.takeScratch()
+	defer l.d.putScratch(s)
+	defer func() {
+		if r := recover(); r != nil {
+			l.panicOnce.Do(func() { l.panicVal = r })
+			l.next.Store(int64(l.blocks))
+		}
+	}()
+	for {
+		b := int(l.next.Add(1) - 1)
+		if b >= l.blocks {
+			return
+		}
+		l.costs[b] = l.d.runBlock(l.cfg, b, l.kernel, s)
+	}
 }
 
 // MustLaunch is Launch for statically correct configurations; it panics on
@@ -209,15 +261,46 @@ func (d *Device) MustLaunch(cfg LaunchConfig, kernel Kernel) {
 	}
 }
 
-// runBlock executes one block and returns its accumulated cycle costs.
-func (d *Device) runBlock(cfg LaunchConfig, blockLinear int, kernel Kernel) blockCost {
-	threads := cfg.Block.Count()
-	bs := &blockState{
-		shared: make([][]int64, 0, 4),
+// blockScratch is the host memory one block runs in: the threads'
+// contexts and the block's shared state. The device keeps released
+// scratches on a free list, so a launch reuses the memory of earlier
+// ones; each one is held by a single goroutine at a time.
+type blockScratch struct {
+	ctxs  []Ctx
+	state blockState
+}
+
+// takeScratch hands out a free block scratch, or a new one.
+func (d *Device) takeScratch() *blockScratch {
+	d.scratchMu.Lock()
+	defer d.scratchMu.Unlock()
+	if n := len(d.scratch); n > 0 {
+		s := d.scratch[n-1]
+		d.scratch = d.scratch[:n-1]
+		return s
 	}
-	ctxs := make([]Ctx, threads)
+	return &blockScratch{}
+}
+
+// putScratch returns a block scratch to the free list.
+func (d *Device) putScratch(s *blockScratch) {
+	d.scratchMu.Lock()
+	d.scratch = append(d.scratch, s)
+	d.scratchMu.Unlock()
+}
+
+// runBlock executes one block on the given scratch and returns its
+// accumulated cycle costs.
+func (d *Device) runBlock(cfg LaunchConfig, blockLinear int, kernel Kernel, s *blockScratch) blockCost {
+	threads := cfg.Block.Count()
+	bs := &s.state
+	bs.reset()
+	if cap(s.ctxs) < threads {
+		s.ctxs = make([]Ctx, threads)
+	}
+	ctxs := s.ctxs[:threads]
 	blockIdx := cfg.Grid.unflatten(blockLinear)
-	for t := 0; t < threads; t++ {
+	for t := range ctxs {
 		ctxs[t] = Ctx{
 			dev:       d,
 			block:     bs,
@@ -254,7 +337,7 @@ func (d *Device) runBlock(cfg LaunchConfig, blockLinear int, kernel Kernel) bloc
 			panic(panicVal)
 		}
 	} else {
-		for t := 0; t < threads; t++ {
+		for t := range ctxs {
 			kernel(&ctxs[t])
 		}
 	}
@@ -322,10 +405,6 @@ func (d *Device) occupancyWarps(cfg LaunchConfig) int {
 // memory latency is hidden across the resident warps (occupancy-limited),
 // and no warp can finish faster than its own serial execution.
 func (d *Device) kernelSeconds(cfg LaunchConfig, blocks []blockCost) float64 {
-	issueWarps := float64(d.spec.CoresPerSM) / float64(d.spec.WarpSize)
-	if issueWarps < 1 {
-		issueWarps = 1
-	}
 	blockWarps := (cfg.Block.Count() + d.spec.WarpSize - 1) / d.spec.WarpSize
 	overlap := d.occupancyWarps(cfg)
 	if blockWarps < overlap {
@@ -334,23 +413,24 @@ func (d *Device) kernelSeconds(cfg LaunchConfig, blocks []blockCost) float64 {
 	if overlap < 1 {
 		overlap = 1
 	}
-	smCycles := make([]float64, d.spec.SMs)
-	for i, bc := range blocks {
-		computeBound := float64(bc.compute) / float64(d.spec.CoresPerSM)
-		memoryBound := float64(bc.memory) / float64(overlap)
-		cycles := computeBound
-		if memoryBound > cycles {
-			cycles = memoryBound
-		}
-		if crit := float64(bc.critical); crit > cycles {
-			cycles = crit
-		}
-		smCycles[i%d.spec.SMs] += cycles
-	}
 	var maxSM float64
-	for _, c := range smCycles {
-		if c > maxSM {
-			maxSM = c
+	for sm := 0; sm < d.spec.SMs; sm++ {
+		var smCycles float64
+		for i := sm; i < len(blocks); i += d.spec.SMs {
+			bc := &blocks[i]
+			computeBound := float64(bc.compute) / float64(d.spec.CoresPerSM)
+			memoryBound := float64(bc.memory) / float64(overlap)
+			cycles := computeBound
+			if memoryBound > cycles {
+				cycles = memoryBound
+			}
+			if crit := float64(bc.critical); crit > cycles {
+				cycles = crit
+			}
+			smCycles += cycles
+		}
+		if smCycles > maxSM {
+			maxSM = smCycles
 		}
 	}
 	return maxSM/(d.spec.ClockMHz*1e6) + d.spec.KernelLaunchSec

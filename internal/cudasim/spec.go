@@ -1,10 +1,13 @@
 // Package cudasim is a CUDA-like execution model in pure Go. It stands in
 // for the Nvidia GPU + CUDA runtime of the paper (which evaluated on a
 // GeForce GT 560M): kernels are Go functions launched over a grid of
-// thread blocks; threads within a block run as goroutines with a real
-// __syncthreads barrier; blocks are scheduled across simulated streaming
-// multiprocessors backed by a host worker pool, so launches genuinely run
-// in parallel on the host cores.
+// thread blocks. The launching goroutine and up to GOMAXPROCS−1 helpers
+// claim blocks from a shared counter, so launches genuinely run in
+// parallel on the host cores; a block's threads run in order on one
+// goroutine, or as goroutines with a real __syncthreads barrier in
+// cooperative launches. Blocks run in thread contexts and shared memory
+// reused from earlier launches, so a launch costs the host little beyond
+// the kernel's own work.
 //
 // Beyond functional semantics the package carries a cycle-level timing
 // model (global/shared/constant memory latencies, warp-granular execution,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cudasim"
 	"repro/internal/dpso"
 	"repro/internal/orlib"
 	"repro/internal/problem"
@@ -150,6 +151,81 @@ func TestGoldenSimSecondsFullPassKernels(t *testing.T) {
 		}
 		if r.SimSeconds != c.sim || r.BestCost != c.cost {
 			t.Errorf("%s: SimSeconds %v, BestCost %d; want %v, %d", c.name, r.SimSeconds, r.BestCost, c.sim, c.cost)
+		}
+	}
+}
+
+// TestGoldenDeviceProfile pins the whole device model of two fixed-seed
+// runs: every field of every kernel's profiler stats and of both
+// transfer directions. The values were captured before kernel launches
+// reused their host memory and before the fitness kernel scored its
+// rows inside the launch; neither may move a counter or a simulated
+// second.
+func TestGoldenDeviceProfile(t *testing.T) {
+	ctx := context.Background()
+	type profile struct {
+		kernels  map[string]cudasim.KernelStats
+		h2d, d2h cudasim.TransferStats
+	}
+	cases := []struct {
+		name string
+		run  func(dev *cudasim.Device) error
+		want profile
+	}{
+		{
+			"GPUSA/UCDDCP",
+			func(dev *cudasim.Device) error {
+				_, err := (&GPUSA{SA: goldenSA(), Grid: 2, Block: 8, Seed: 6, Dev: dev}).Solve(ctx, benchInstanceUCDDCP(40))
+				return err
+			},
+			profile{
+				kernels: map[string]cudasim.KernelStats{
+					"accept":  {Launches: 80, Blocks: 160, Threads: 1280, ComputeCycles: 0x4100, MemoryCycles: 0xcfc60, GlobalAccesses: 0xd205, ConstReads: 0x500, SimSeconds: 0.0007287225806451603},
+					"fitness": {Launches: 81, Blocks: 162, Threads: 1296, ComputeCycles: 0xfea7f, MemoryCycles: 0x189ed0, GlobalAccesses: 0x361b0, SharedAccesses: 0x1c7a0, ConstReads: 0x510, SimSeconds: 0.0009681490322580642},
+					"init":    {Launches: 1, Blocks: 2, Threads: 16, MemoryCycles: 0x19a0, GlobalAccesses: 0x520, SimSeconds: 7.1161290322580645e-06},
+					"perturb": {Launches: 80, Blocks: 160, Threads: 1280, ComputeCycles: 0x8000, MemoryCycles: 0xfa000, GlobalAccesses: 0x1b800, SimSeconds: 0.0007316438709677425},
+					"reduce":  {Launches: 80, Blocks: 160, Threads: 1280, MemoryCycles: 0x5780, GlobalAccesses: 0x500, Atomics: 0x500, SimSeconds: 0.0004072258064516128},
+				},
+				h2d: cudasim.TransferStats{Count: 7, Bytes: 4168, SimSeconds: 7.052100000000001e-05},
+				d2h: cudasim.TransferStats{Count: 2, Bytes: 168, SimSeconds: 2.0021000000000004e-05},
+			},
+		},
+		{
+			"GPUDPSO/CDD",
+			func(dev *cudasim.Device) error {
+				_, err := (&GPUDPSO{PSO: dpso.Config{Iterations: 30}, Grid: 2, Block: 8, Seed: 6, Dev: dev}).Solve(ctx, benchInstanceCDD(40))
+				return err
+			},
+			profile{
+				kernels: map[string]cudasim.KernelStats{
+					"fitness": {Launches: 31, Blocks: 62, Threads: 496, ComputeCycles: 0x287fc, MemoryCycles: 0x66530, GlobalAccesses: 0xb050, SharedAccesses: 0xae60, ConstReads: 0x1f0, SimSeconds: 0.0002972832258064516},
+					"init":    {Launches: 1, Blocks: 2, Threads: 16, MemoryCycles: 0x1a68, GlobalAccesses: 0x520, Atomics: 0x10, SimSeconds: 7.180645161290323e-06},
+					"pbest":   {Launches: 30, Blocks: 60, Threads: 480, MemoryCycles: 0x1a7c0, GlobalAccesses: 0x11fd, SimSeconds: 0.00019962580645161305},
+					"reduce":  {Launches: 30, Blocks: 60, Threads: 480, MemoryCycles: 0x20d0, GlobalAccesses: 0x1e0, Atomics: 0x1e0, SimSeconds: 0.0001527096774193548},
+					"update":  {Launches: 30, Blocks: 60, Threads: 480, ComputeCycles: 0x5dc00, MemoryCycles: 0x5dc00, GlobalAccesses: 0x12c00, SimSeconds: 0.0002893548387096775},
+				},
+				h2d: cudasim.TransferStats{Count: 5, Bytes: 3528, SimSeconds: 5.044100000000001e-05},
+				d2h: cudasim.TransferStats{Count: 2, Bytes: 168, SimSeconds: 2.0021000000000004e-05},
+			},
+		},
+	}
+	for _, c := range cases {
+		dev := cudasim.NewDevice(cudasim.GT560M())
+		if err := c.run(dev); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := dev.Profiler().Kernels()
+		if len(got) != len(c.want.kernels) {
+			t.Errorf("%s: %d kernels profiled, want %d", c.name, len(got), len(c.want.kernels))
+		}
+		for name, want := range c.want.kernels {
+			if got[name] != want {
+				t.Errorf("%s: kernel %q\n got %+v\nwant %+v", c.name, name, got[name], want)
+			}
+		}
+		h2d, d2h := dev.Profiler().Transfers()
+		if h2d != c.want.h2d || d2h != c.want.d2h {
+			t.Errorf("%s: transfers h2d %+v d2h %+v; want %+v, %+v", c.name, h2d, d2h, c.want.h2d, c.want.d2h)
 		}
 	}
 }

@@ -146,14 +146,9 @@ type pipeline struct {
 	rngs     []*xrand.XORWOW
 	pLocal   [][]int64 // texture-mode staging of processing times
 	texCache []cudasim.TexCache
-
-	// batch precomputes the full-pass fitness of all rows host-side in
-	// one batch pass (lazily built on first fitnessKernel
-	// launch); batchCost/batchOps carry the per-row results into the
-	// kernel closure, which keeps every cycle charge.
-	batch     *core.BatchEvaluator
-	batchCost []int64
-	batchOps  []int
+	// evals are the threads' fitness evaluators, each with its own
+	// scratch row over one shared snapshot of the job data.
+	evals []*core.BatchEvaluator
 }
 
 func newPipeline(dev *cudasim.Device, inst *problem.Instance, grid, block int, coop bool, seed uint64) *pipeline {
@@ -187,8 +182,11 @@ func newPipeline(dev *cudasim.Device, inst *problem.Instance, grid, block int, c
 	dev.SetConstantInt("d", inst.D)
 
 	pl.rngs = make([]*xrand.XORWOW, pl.threads)
+	pl.evals = make([]*core.BatchEvaluator, pl.threads)
+	soa := core.NewSoAInstance(inst)
 	for t := 0; t < pl.threads; t++ {
 		pl.rngs[t] = xrand.NewStream(seed, uint64(t))
+		pl.evals[t] = core.NewBatchEvaluatorSoA(inst, soa)
 	}
 	return pl
 }
@@ -307,45 +305,28 @@ func (pl *pipeline) stagePenalties(c *cudasim.Ctx) (shA, shB []int64) {
 	return shA, shB
 }
 
-// batchFitness scores every thread's row of rows host-side in one
-// batch pass over the SoA snapshot, returning the per-row
-// costs and abstract op counts. Results are bit-identical to the
-// per-thread OptimizeArrays calls they replace (the verify oracle chain
-// asserts it), so the kernel's cycle charges — which consume the same
-// ops — are unchanged too.
-func (pl *pipeline) batchFitness(rows []int32) ([]int64, []int) {
-	if pl.batch == nil {
-		pl.batch = core.NewBatchEvaluator(pl.inst)
-		pl.batchCost = make([]int64, pl.threads)
-		pl.batchOps = make([]int, pl.threads)
-	}
-	pl.batch.FitnessRows32(rows, pl.batchCost, pl.batchOps)
-	return pl.batchCost, pl.batchOps
-}
-
-// fitnessKernel evaluates every thread's row of target into out. The
-// costs and op counts are precomputed in one batched host pass; the
-// launch closure models the device — shared-memory staging, the
-// due-date read and the per-thread charges of fitnessStep.
+// fitnessKernel evaluates every thread's row of target into out: each
+// thread stages the penalties in shared memory, reads the due date from
+// constant memory and scores its row with the fitness step.
 func (pl *pipeline) fitnessKernel(target *cudasim.Buffer[int32], out *cudasim.Buffer[int64]) error {
-	costs, ops := pl.batchFitness(target.Raw())
 	return pl.dev.Launch(pl.launchCfg("fitness"), func(c *cudasim.Ctx) {
 		pl.stagePenalties(c)
 		tid := c.GlobalThreadID()
 		n := pl.n
 		c.ConstInt("d") // due-date read from constant memory
-		pl.fitnessStep(c, tid, target.Raw()[tid*n:(tid+1)*n], ops[tid])
-		out.Store(c, tid, costs[tid])
+		out.Store(c, tid, pl.fitnessStep(c, tid, target.Raw()[tid*n:(tid+1)*n]))
 	})
 }
 
-// fitnessStep charges one thread's evaluation of row, whose abstract
-// op count (from the core row dispatch, core.BatchEvaluator.FitnessRow32)
-// is ops: the sequence row, the α/β reads from shared memory, the
+// fitnessStep scores one thread's row with the thread's evaluator — the
+// kind's O(n) linear algorithm (core.BatchEvaluator.FitnessRow32) — and
+// charges it: the sequence row, the α/β reads from shared memory, the
 // processing-time reads in the configured access mode, the UCDDCP M/γ
-// reads, and the O(n) linear algorithm's arithmetic. It is the fitness
-// step of both the four-kernel pipeline and the persistent kernel.
-func (pl *pipeline) fitnessStep(c *cudasim.Ctx, tid int, row []int32, ops int) {
+// reads, and the algorithm's abstract op count as arithmetic. It is the
+// fitness step of both the four-kernel pipeline and the persistent
+// kernel.
+func (pl *pipeline) fitnessStep(c *cudasim.Ctx, tid int, row []int32) int64 {
+	cost, ops := pl.evals[tid].FitnessRow32(row)
 	n := pl.n
 	c.ChargeGlobal(n, true) // sequence row
 	c.ChargeShared(2 * n)   // α/β reads from shared memory
@@ -354,6 +335,7 @@ func (pl *pipeline) fitnessStep(c *cudasim.Ctx, tid int, row []int32, ops int) {
 		c.ChargeGlobal(2*n, true) // M and γ reads
 	}
 	c.ChargeArith(ops)
+	return cost
 }
 
 // perturbStep is one thread's perturbation, shared by the perturb kernel

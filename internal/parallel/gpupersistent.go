@@ -95,9 +95,6 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 	bestSeqBuf := cudasim.NewBuffer[int32](dev, N*n)
 	packedBuf := cudasim.NewBufferFrom(dev, []int64{math.MaxInt64})
 
-	// The resident threads' evaluators share one snapshot of the job data.
-	soa := core.NewSoAInstance(inst)
-
 	// interrupted is shared by the resident threads: once any thread sees
 	// the context done, the flag also short-circuits the remaining
 	// threads' checks (the simulated threads are cooperative goroutines,
@@ -113,19 +110,13 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 			cur := seqBuf.Raw()[tid*n : (tid+1)*n]
 			c.ConstInt("d") // due-date read, once per resident thread
 
-			// The candidate row, the perturbed positions and the evaluator
-			// live in the thread's registers/local memory.
+			// The candidate row and the perturbed positions live in the
+			// thread's registers/local memory.
 			cnd := make([]int32, n)
 			pos := make([]int, 0, cfg.Pert)
-			ev := core.NewBatchEvaluatorSoA(inst, soa)
-			evalRow := func(row []int32) int64 {
-				cost, ops := ev.FitnessRow32(row)
-				pl.fitnessStep(c, tid, row, ops)
-				return cost
-			}
 
 			var cc obs.ChainCounters
-			curCost := evalRow(cur)
+			curCost := pl.fitnessStep(c, tid, cur)
 			cc.FullEvaluations++
 			bestCost := curCost
 			copy(bestSeqBuf.Raw()[tid*n:(tid+1)*n], cur)
@@ -141,7 +132,7 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 				}
 				done++
 				pos = perturbStep(c, rng, cfg, it, pos, cur, cnd)
-				candCost := evalRow(cnd)
+				candCost := pl.fitnessStep(c, tid, cnd)
 				cc.FullEvaluations++
 
 				// Acceptance (as the accept kernel).

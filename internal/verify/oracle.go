@@ -190,24 +190,26 @@ func batchSeqsCost(in *problem.Instance, seq []int) (int64, error) {
 }
 
 // batchFitness32Cost prices seq through the device-row fitness kernel
-// and additionally pins its abstract op counts to the single-row core —
-// the quantity the simulated GPU converts into cycle charges, so a
-// mismatch would silently shift every engine's SimSeconds.
+// (FitnessRow32, the per-thread scoring step of the simulated GPU) and
+// additionally pins its abstract op counts to the single-row core — the
+// quantity the simulated GPU converts into cycle charges, so a mismatch
+// would silently shift every engine's SimSeconds. The evaluator scores a
+// rotated row in between, so the second pass must not depend on what its
+// scratch row held.
 func batchFitness32Cost(in *problem.Instance, seq []int) (int64, error) {
 	n := len(seq)
-	rows := make([]int32, 3*n)
+	row := make([]int32, n)
+	rotated := make([]int32, n)
 	for i, v := range seq {
-		rows[i] = int32(v)
-		rows[n+i] = int32(seq[(i+1)%n])
-		rows[2*n+i] = int32(v)
+		row[i] = int32(v)
+		rotated[i] = int32(seq[(i+1)%n])
 	}
-	costs := make([]int64, 3)
-	ops := make([]int, 3)
 	be := core.NewBatchEvaluator(in)
-	be.FitnessRows32(rows, costs, ops)
-	if costs[0] != costs[2] || ops[0] != ops[2] {
-		return 0, fmt.Errorf("pair path (cost %d, ops %d) != tail path (cost %d, ops %d) on seq %v",
-			costs[0], ops[0], costs[2], ops[2], seq)
+	cost, ops := be.FitnessRow32(row)
+	be.FitnessRow32(rotated)
+	if again, againOps := be.FitnessRow32(row); again != cost || againOps != ops {
+		return 0, fmt.Errorf("first pass (cost %d, ops %d) != repeat pass (cost %d, ops %d) on seq %v",
+			cost, ops, again, againOps, seq)
 	}
 	s := be.SoA()
 	comp := make([]int64, n)
@@ -221,11 +223,11 @@ func batchFitness32Cost(in *problem.Instance, seq []int) (int64, error) {
 	default:
 		wantCost, _, _, wantOps = cdd.OptimizeArrays(seq, s.P, s.Alpha, s.Beta, s.D, comp)
 	}
-	if costs[0] != wantCost || wantOps != ops[0] {
+	if cost != wantCost || wantOps != ops {
 		return 0, fmt.Errorf("batch (cost %d, ops %d) != single-row core (cost %d, ops %d) on seq %v",
-			costs[0], ops[0], wantCost, wantOps, seq)
+			cost, ops, wantCost, wantOps, seq)
 	}
-	return costs[0], nil
+	return cost, nil
 }
 
 // deltaProposeCost prices seq through the incremental Propose path from a
