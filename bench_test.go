@@ -536,3 +536,22 @@ func BenchmarkGPUSASolve(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGPUDPSOSolve times one whole simulated-GPU DPSO solve in the
+// geometry of BenchmarkGPUSASolve (2 × 32 threads, 100 generations of the
+// four-kernel pipeline), so the update kernel's per-solve allocations show
+// up next to the kernels' own work.
+func BenchmarkGPUDPSOSolve(b *testing.B) {
+	b.Run("CDD/n100", func(b *testing.B) {
+		in := benchInstance(b, problem.CDD, 100)
+		cfg := dpso.DefaultConfig()
+		cfg.Iterations = 100
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := (&parallel.GPUDPSO{PSO: cfg, Grid: 2, Block: 32, Seed: benchSeed}).Solve(context.Background(), in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

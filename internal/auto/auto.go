@@ -77,9 +77,6 @@ var KnownPairings = map[string]bool{
 // engine.
 var fallback = Choice{Algorithm: "SA", Engine: "cpu-parallel"}
 
-// Fallback returns the built-in default choice (SA on cpu-parallel).
-func Fallback() Choice { return fallback }
-
 // Decision is the picker's routing verdict for one instance shape.
 type Decision struct {
 	// AttemptDP routes the instance through EXACT-DP first: the shape is

@@ -83,12 +83,6 @@ func (b *Buffer[T]) Load(c *Ctx, i int) T {
 	return b.data[i]
 }
 
-// LoadScattered reads element i charging an uncoalesced access.
-func (b *Buffer[T]) LoadScattered(c *Ctx, i int) T {
-	c.ChargeGlobal(1, false)
-	return b.data[i]
-}
-
 // Store writes element i from device code, charging one coalesced global
 // access.
 func (b *Buffer[T]) Store(c *Ctx, i int, v T) {

@@ -8,7 +8,9 @@
 // where F1 is a random swap (the "velocity"), F2 a one-point order
 // crossover with the particle's own best (cognition), and F3 a two-point
 // order crossover with the swarm's best (social component). Each operator
-// fires with its probability, otherwise passes its input through.
+// fires with its probability, otherwise passes its input through. Move is
+// the one implementation of that update: the CPU particles and the
+// simulated-GPU update kernel (parallel.GPUDPSO) both run it.
 //
 // The paper does not publish w, c1, c2; DefaultConfig documents the values
 // used here.
@@ -80,6 +82,38 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// Move applies Equation (3) to pos in place:
+//
+//	pos ← c2 ⊕ F3( c1 ⊕ F2( w ⊕ F1(pos), pbest ), gbest )
+//
+// Each operator fires when a Float64 draw from rng falls below its
+// probability (W, C1, C2) and otherwise passes its input through. scratch
+// is a row of pos's length; pbest and gbest (which may be the same row)
+// must alias neither pos nor scratch. ops supplies the crossovers'
+// used-markers. It is the one position update of every DPSO engine:
+// Particle.Update runs it on the host's []int rows and the GPUDPSO update
+// kernel on the simulated device's []int32 rows.
+func Move[S ~int | ~int32](cfg Config, rng *xrand.XORWOW, ops *perm.Ops, pos, pbest, gbest, scratch []S) {
+	// Velocity: λ = w ⊕ F1(pos).
+	if rng.Float64() < cfg.W {
+		perm.Swap(rng, pos)
+	}
+	// cur holds the operator chain's latest output; spare is the other
+	// row, so a crossover's source and destination never alias.
+	cur, spare := pos, scratch
+	// Cognition: δ = c1 ⊕ F2(λ, pbest).
+	if rng.Float64() < cfg.C1 {
+		perm.OnePoint(ops, rng, spare, cur, pbest)
+		cur, spare = spare, cur
+	}
+	// Social: pos' = c2 ⊕ F3(δ, gbest).
+	if rng.Float64() < cfg.C2 {
+		perm.TwoPoint(ops, rng, spare, cur, gbest)
+		cur = spare
+	}
+	copy(pos, cur)
+}
+
 // Particle is one swarm member. Particles own their scratch, so distinct
 // particles may be updated concurrently (each against its own evaluator).
 type Particle struct {
@@ -92,7 +126,7 @@ type Particle struct {
 	pbest     []int
 	pbestCost int64
 
-	buf1, buf2 []int
+	scratch []int
 }
 
 // NewParticle creates a particle with a uniformly random position,
@@ -100,13 +134,12 @@ type Particle struct {
 func NewParticle(cfg Config, eval core.Evaluator, rng *xrand.XORWOW) *Particle {
 	n := eval.Instance().GenomeLen()
 	p := &Particle{
-		cfg:   cfg.Normalized(),
-		rng:   rng,
-		ops:   perm.NewOps(n),
-		pos:   perm.Random(rng, n),
-		pbest: make([]int, n),
-		buf1:  make([]int, n),
-		buf2:  make([]int, n),
+		cfg:     cfg.Normalized(),
+		rng:     rng,
+		ops:     perm.NewOps(n),
+		pos:     perm.Random(rng, n),
+		pbest:   make([]int, n),
+		scratch: make([]int, n),
 	}
 	p.posCost = eval.Cost(p.pos)
 	copy(p.pbest, p.pos)
@@ -120,71 +153,27 @@ func (p *Particle) Position() ([]int, int64) { return p.pos, p.posCost }
 // Best returns the particle's personal best (borrowed) and cost.
 func (p *Particle) Best() ([]int, int64) { return p.pbest, p.pbestCost }
 
-// Update applies Equation (3) against the given swarm best and evaluates
-// the new position, refreshing the personal best. It returns the new
-// position's cost.
+// Update applies Equation (3) against the given swarm best (which must
+// not be the particle's own position), evaluates the new position with
+// eval and refreshes the personal best. It returns the new position's
+// cost.
 func (p *Particle) Update(gbest []int, eval core.Evaluator) int64 {
-	p.Move(gbest)
-	return p.Adopt(eval.Cost(p.pos))
-}
-
-// Move applies the three operators of Equation (3) against the given
-// swarm best and installs the resulting position, returning it
-// (borrowed) without evaluating. Callers batch-score the positions of
-// many particles in one pass and feed each cost back through Adopt; the
-// split consumes the RNG stream exactly as Update does, so trajectories
-// are unchanged.
-func (p *Particle) Move(gbest []int) []int {
-	// Velocity: λ = w ⊕ F1(pos).
-	copy(p.buf1, p.pos)
-	if p.rng.Float64() < p.cfg.W {
-		perm.Swap(p.rng, p.buf1)
-	}
-	// Cognition: δ = c1 ⊕ F2(λ, pbest).
-	next := p.buf1
-	inBuf1 := true
-	if p.rng.Float64() < p.cfg.C1 {
-		p.ops.OnePoint(p.rng, p.buf2, p.buf1, p.pbest)
-		next = p.buf2
-		inBuf1 = false
-	}
-	// Social: pos' = c2 ⊕ F3(δ, gbest).
-	if p.rng.Float64() < p.cfg.C2 {
-		dst := p.buf1
-		if inBuf1 {
-			dst = p.buf2
-		}
-		p.ops.TwoPoint(p.rng, dst, next, gbest)
-		next = dst
-	}
-	copy(p.pos, next)
-	return p.pos
-}
-
-// Adopt records cost as the current position's fitness and refreshes the
-// personal best, completing a Move. It returns cost.
-func (p *Particle) Adopt(cost int64) int64 {
-	p.posCost = cost
-	if cost < p.pbestCost {
+	Move(p.cfg, p.rng, p.ops, p.pos, p.pbest, gbest, p.scratch)
+	p.posCost = eval.Cost(p.pos)
+	if p.posCost < p.pbestCost {
 		copy(p.pbest, p.pos)
-		p.pbestCost = cost
+		p.pbestCost = p.posCost
 	}
-	return cost
+	return p.posCost
 }
 
 // Swarm is the serial DPSO solver: Config.Swarm particles sharing one
-// batch evaluator, with a synchronous global best. Each generation moves
-// every particle first and scores the whole population in one batched
-// pass — trajectory-identical to per-particle Update calls (particles
-// own their RNG streams and read only the previous generation's gbest),
-// only faster.
+// evaluator, with a synchronous global best: every particle of a
+// generation moves against the previous generation's gbest.
 type Swarm struct {
 	cfg       Config
 	eval      core.Evaluator
-	batch     *core.BatchEvaluator
 	particles []*Particle
-	seqs      [][]int
-	costs     []int64
 	gbest     []int
 	gbestCost int64
 	evals     int64
@@ -194,13 +183,7 @@ type Swarm struct {
 // RNG sub-streams of the given seed.
 func NewSwarm(cfg Config, eval core.Evaluator, seed uint64) *Swarm {
 	cfg = cfg.Normalized()
-	s := &Swarm{
-		cfg:   cfg,
-		eval:  eval,
-		batch: core.BatchEvaluatorFor(eval),
-		seqs:  make([][]int, cfg.Swarm),
-		costs: make([]int64, cfg.Swarm),
-	}
+	s := &Swarm{cfg: cfg, eval: eval}
 	n := eval.Instance().GenomeLen()
 	s.gbest = make([]int, n)
 	s.gbestCost = int64(1) << 62
@@ -216,18 +199,11 @@ func NewSwarm(cfg Config, eval core.Evaluator, seed uint64) *Swarm {
 	return s
 }
 
-// Step runs one generation: find particles' and swarm's bests, update
-// positions, evaluate (Algorithm 2 lines 4–7). Moves happen first, then
-// one batched fitness pass over the population, then the personal-best
-// refreshes — the same decomposition the paper's GPU implementation uses
-// (update kernel, fitness kernel, reduction).
+// Step runs one generation: update and evaluate every particle against
+// the swarm best, then refresh the swarm best (Algorithm 2 lines 4–7).
 func (s *Swarm) Step() {
-	for i, p := range s.particles {
-		s.seqs[i] = p.Move(s.gbest)
-	}
-	s.batch.CostSeqs(s.seqs, s.costs)
-	for i, p := range s.particles {
-		p.Adopt(s.costs[i])
+	for _, p := range s.particles {
+		p.Update(s.gbest, s.eval)
 		s.evals++
 	}
 	for _, p := range s.particles {

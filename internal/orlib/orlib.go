@@ -31,9 +31,6 @@ import (
 // Hs are the OR-library restrictive due-date factors.
 var Hs = []float64{0.2, 0.4, 0.6, 0.8}
 
-// PaperSizes are the job counts of the paper's result tables.
-var PaperSizes = []int{10, 20, 50, 100, 200, 500, 1000}
-
 // InstancesPerSize is the OR-library instance count per job size.
 const InstancesPerSize = 10
 

@@ -50,7 +50,8 @@ func (d *ParallelDPSO) Name() string {
 
 // Solve runs the configured generations. Results are deterministic for a
 // fixed seed regardless of Parallel: particle i always consumes RNG
-// stream i and gbest ties resolve to the lowest particle index.
+// stream i and swarm-best ties resolve to the lowest particle index, as
+// in GPUDPSO's packed reduction.
 // Cancellation is checked at generation granularity: a done context skips
 // the remaining generations and returns the swarm best so far (valid from
 // generation zero, since initialization evaluates every particle).
@@ -66,111 +67,63 @@ func (d *ParallelDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.
 	ctx, cancel := d.Budget.Apply(ctx)
 	defer cancel()
 	start := time.Now()
-	n := inst.GenomeLen()
 
 	col := obs.NewCollector(d.Metrics)
+	soa := core.NewSoAInstance(inst)
 	particles := make([]*dpso.Particle, ens.Chains)
 	evals := make([]core.Evaluator, ens.Chains)
 	phased(col, obs.PhaseInit, func() {
 		runOverWorkers(ens.Chains, ens.Workers, d.Parallel, func(i int) {
-			evals[i] = core.NewEvaluator(inst)
+			evals[i] = core.NewBatchEvaluatorSoA(inst, soa)
 			particles[i] = dpso.NewParticle(cfg, evals[i], xrand.NewStream(ens.Seed, uint64(i)))
 		})
 	})
 	col.AddFullEvals(int64(ens.Chains))
 
-	// The single-goroutine driver scores the whole population per
-	// generation in one batched pass over the SoA snapshot instead of
-	// ens.Chains interface calls; per-particle RNG streams and the
-	// snapshot/pbest reference rules make the reordering (all moves, then
-	// all evaluations, then all adoptions) trajectory-identical to the
-	// worker path.
-	var batch *core.BatchEvaluator
-	var seqs [][]int
-	var costs []int64
-	if !d.Parallel {
-		batch = core.NewBatchEvaluator(inst)
-		seqs = make([][]int, ens.Chains)
-		costs = make([]int64, ens.Chains)
-	}
-
+	// The swarm best is the packed (cost, particle) minimum over the
+	// personal bests, as GPUDPSO's reduction kernel computes it.
 	red := newReducer(ens.Chains)
 	m := newMeter(d.Progress, start, red)
-	gbest := make([]int, n)
-	gbestCost := int64(1) << 62
 	reduce := func() {
 		for i, p := range particles {
-			if seq, cost := p.Best(); cost < gbestCost {
-				gbestCost = cost
-				copy(gbest, seq)
-				if red.record(i, seq, cost, 0) {
-					m.improved()
-				}
+			if seq, cost := p.Best(); red.record(i, seq, cost, 0) {
+				m.improved()
 			}
 		}
 	}
 	phased(col, obs.PhaseReduce, reduce)
 
-	iters := cfg.Iterations
-	// In shared mode, particles read the previous generation's gbest
-	// (recomputed only after the generation barrier), mirroring the
+	// In shared mode, particles read the previous generation's swarm best
+	// (reduced only after the generation barrier), mirroring the
 	// update → fitness → reduce → broadcast kernel sequence of the GPU
 	// implementation. In the default asynchronous mode each particle's
 	// swarm best is its own personal best.
-	gbestSnapshot := make([]int, n)
+	var gbest []int
 	generations := 0
 	interrupted := false
-	for g := 0; g < iters; g++ {
+	for g := 0; g < cfg.Iterations; g++ {
 		if ctx.Err() != nil {
 			interrupted = true
 			col.SetInterruptedAt("generation")
 			break
 		}
-		copy(gbestSnapshot, gbest)
+		if d.ShareSwarmBest {
+			// The winner's row is rewritten only by the reduction, so
+			// the update phase may read it in place.
+			gbest, _, _ = red.best()
+		}
 		phased(col, obs.PhaseUpdate, func() {
-			if !d.Parallel {
-				for i, p := range particles {
-					ref := gbestSnapshot
-					if !d.ShareSwarmBest {
-						ref, _ = p.Best()
-					}
-					seqs[i] = p.Move(ref)
+			runOverWorkers(ens.Chains, ens.Workers, d.Parallel, func(i int) {
+				p := particles[i]
+				ref, before := p.Best()
+				if d.ShareSwarmBest {
+					ref = gbest
 				}
-				batch.CostSeqs(seqs, costs)
-				for i, p := range particles {
-					if col.Enabled() {
-						_, before := p.Best()
-						p.Adopt(costs[i])
-						// A personal-best refresh is DPSO's acceptance
-						// analogue, and it always improves the particle's
-						// best-so-far.
-						if _, after := p.Best(); after < before {
-							col.AddAccepts(1)
-							col.AddImprovements(1)
-						}
-					} else {
-						p.Adopt(costs[i])
-					}
-				}
-				return
-			}
-			runOverWorkers(ens.Chains, ens.Workers, true, func(i int) {
-				ref := gbestSnapshot
-				if !d.ShareSwarmBest {
-					ref, _ = particles[i].Best()
-				}
-				if col.Enabled() {
-					_, before := particles[i].Best()
-					particles[i].Update(ref, evals[i])
-					// A personal-best refresh is DPSO's acceptance
-					// analogue, and it always improves the particle's
-					// best-so-far.
-					if _, after := particles[i].Best(); after < before {
-						col.AddAccepts(1)
-						col.AddImprovements(1)
-					}
-				} else {
-					particles[i].Update(ref, evals[i])
+				// A personal-best refresh is DPSO's acceptance analogue,
+				// and it always improves the particle's best-so-far.
+				if p.Update(ref, evals[i]) < before {
+					col.AddAccepts(1)
+					col.AddImprovements(1)
 				}
 			})
 		})
@@ -179,14 +132,11 @@ func (d *ParallelDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.
 		generations++
 	}
 
-	res := core.Result{
-		BestSeq:     gbest,
-		BestCost:    gbestCost,
-		Iterations:  iters,
-		Evaluations: int64(ens.Chains) * int64(generations+1),
-		Elapsed:     time.Since(start),
-		Interrupted: interrupted,
-	}
+	res := red.result(inst)
+	res.Iterations = cfg.Iterations
+	res.Evaluations = int64(ens.Chains) * int64(generations+1)
+	res.Elapsed = time.Since(start)
+	res.Interrupted = interrupted
 	if col.Enabled() {
 		workers := 1
 		if d.Parallel {

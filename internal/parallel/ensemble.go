@@ -2,7 +2,7 @@ package parallel
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -27,6 +27,9 @@ type Chain interface {
 	// Evaluations returns the number of fitness evaluations performed.
 	Evaluations() int64
 }
+
+// errNoInstance reports a CPU solve given no instance.
+var errNoInstance = errors.New("parallel: ensemble run without an instance")
 
 // RunSpec parameterizes one execution of the shared ensemble runtime.
 type RunSpec struct {
@@ -63,7 +66,7 @@ type RunSpec struct {
 // cost.
 func (e Ensemble) Run(ctx context.Context, inst *problem.Instance, spec RunSpec) (core.Result, error) {
 	if inst == nil {
-		return core.Result{}, fmt.Errorf("parallel: ensemble run without an instance")
+		return core.Result{}, errNoInstance
 	}
 	ens := e.normalized()
 	if err := CheckChains(ens.Chains, 1); err != nil {
@@ -141,9 +144,11 @@ func (e Ensemble) Run(ctx context.Context, inst *problem.Instance, spec RunSpec)
 // reducer is the engines' lock-free best reduction: the same packed
 // (cost<<tidBits | chain) atomic minimum the GPU reduce kernel computes,
 // applied host-side, plus the per-chain best rows and the evaluation
-// account. Chain i writes seqs[i] exactly once before publishing its
-// packed value, so a reader that observes the packed minimum may read
-// the winning row without further synchronization.
+// account. Chain i writes seqs[i] before publishing its packed value, so
+// a reader that observes the packed minimum may read the winning row
+// without further synchronization. A chain may record again (ParallelDPSO
+// folds every personal best each generation) only where no reader runs
+// concurrently.
 type reducer struct {
 	packed atomic.Int64
 	evals  atomic.Int64
@@ -157,11 +162,14 @@ func newReducer(chains int) *reducer {
 }
 
 // record folds chain i's best into the reduction and returns whether it
-// improved the ensemble best. The sequence is copied.
+// improved the ensemble best. The sequence is copied when it might win.
 func (r *reducer) record(chain int, seq []int, cost int64, evals int64) bool {
 	r.evals.Add(evals)
-	r.seqs[chain] = append(r.seqs[chain][:0], seq...)
 	packed := cost<<tidBits | int64(chain)
+	if packed >= r.packed.Load() {
+		return false
+	}
+	r.seqs[chain] = append(r.seqs[chain][:0], seq...)
 	for {
 		cur := r.packed.Load()
 		if packed >= cur {

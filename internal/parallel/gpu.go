@@ -339,26 +339,42 @@ func (pl *pipeline) fitnessStep(c *cudasim.Ctx, tid int, row []int32) int64 {
 }
 
 // perturbStep is one thread's perturbation, shared by the perturb kernel
-// and the persistent kernel: dst becomes a copy of src with the jobs at
-// the thread's Pert positions Fisher–Yates-shuffled, the positions
-// re-drawn (Floyd) on iteration 0 and every ReselectPeriod iterations.
-// It returns the positions, which the caller keeps for the next call.
-func perturbStep(c *cudasim.Ctx, rng *xrand.XORWOW, cfg sa.Config, it int, pos []int, src, dst []int32) []int {
+// and the persistent kernel: dst becomes a copy of src perturbed by
+// sa.Perturb, which the step charges. It returns the positions, which
+// the caller keeps for the next call.
+func perturbStep(c *cudasim.Ctx, rng *xrand.XORWOW, cfg *sa.Config, it int, pos []int, src, dst []int32) []int {
 	n := len(src)
 	copy(dst, src)
 	c.ChargeGlobal(2*n, true)
-	if it%cfg.ReselectPeriod == 0 || len(pos) == 0 {
-		pos = drawPositions(rng, pos[:0], n, cfg.Pert)
+	pos, redrawn := sa.Perturb(rng, cfg, it, pos, dst)
+	if redrawn {
 		c.ChargeArith(4 * cfg.Pert)
-	}
-	for i := len(pos) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		a, b := pos[i], pos[j]
-		dst[a], dst[b] = dst[b], dst[a]
 	}
 	c.ChargeGlobal(2*len(pos), false) // scattered swaps
 	c.ChargeArith(6 * len(pos))
 	return pos
+}
+
+// acceptStep is one thread's acceptance, shared by the accept kernel and
+// the persistent kernel: sa.Accept at temperature temp on the thread's
+// stream; an accepted candidate row replaces the current row, and one
+// that beats the thread's best cost also replaces its best row. The step
+// charges the test and the row copies; the caller keeps the costs and
+// charges their reads and writes.
+func acceptStep(c *cudasim.Ctx, rng *xrand.XORWOW, temp float64, curCost, candCost, bestCost int64, cur, cand, best []int32) (accepted, improved bool) {
+	accepted = sa.Accept(rng, curCost, candCost, temp)
+	c.ChargeArith(12)
+	if !accepted {
+		return false, false
+	}
+	copy(cur, cand)
+	c.ChargeGlobal(2*len(cand), true)
+	if candCost >= bestCost {
+		return true, false
+	}
+	copy(best, cand)
+	c.ChargeGlobal(2*len(cand), true)
+	return true, true
 }
 
 // reduceKernel folds a per-thread cost buffer into the packed
@@ -503,7 +519,7 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 		if err := gpuPhased(col, dev, obs.PhasePerturb, func() error {
 			return dev.Launch(pl.launchCfg("perturb"), func(c *cudasim.Ctx) {
 				tid := c.GlobalThreadID()
-				positions[tid] = perturbStep(c, pl.rngs[tid], cfg, iter, positions[tid],
+				positions[tid] = perturbStep(c, pl.rngs[tid], &cfg, iter, positions[tid],
 					seqBuf.Raw()[tid*n:(tid+1)*n], candBuf.Raw()[tid*n:(tid+1)*n])
 			})
 		}); err != nil {
@@ -523,26 +539,20 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 		if err := gpuPhased(col, dev, obs.PhaseAccept, func() error {
 			return dev.Launch(pl.launchCfg("accept"), func(c *cudasim.Ctx) {
 				tid := c.GlobalThreadID()
-				rng := pl.rngs[tid]
 				cur := costBuf.Load(c, tid)
 				cand := candCostBuf.Load(c, tid)
-				T := c.ConstFloat("T")
-				accept := cand <= cur
-				if !accept && T > 0 {
-					accept = math.Exp(float64(cur-cand)/T) >= rng.Float64()
-				}
-				c.ChargeArith(12)
-				if accept {
+				// The thread's best cost is read, and charged, only for
+				// an accepted candidate.
+				accepted, improved := acceptStep(c, pl.rngs[tid], c.ConstFloat("T"), cur, cand, bestCostBuf.Raw()[tid],
+					seqBuf.Raw()[tid*n:(tid+1)*n], candBuf.Raw()[tid*n:(tid+1)*n], bestSeqBuf.Raw()[tid*n:(tid+1)*n])
+				if accepted {
 					col.AddAccepts(1)
-					copy(seqBuf.Raw()[tid*n:(tid+1)*n], candBuf.Raw()[tid*n:(tid+1)*n])
 					costBuf.Store(c, tid, cand)
-					c.ChargeGlobal(2*n, true)
-					if cand < bestCostBuf.Load(c, tid) {
-						col.AddImprovements(1)
-						bestCostBuf.Store(c, tid, cand)
-						copy(bestSeqBuf.Raw()[tid*n:(tid+1)*n], candBuf.Raw()[tid*n:(tid+1)*n])
-						c.ChargeGlobal(2*n, true)
-					}
+					c.ChargeGlobal(1, true) // the best-cost read
+				}
+				if improved {
+					col.AddImprovements(1)
+					bestCostBuf.Store(c, tid, cand)
 				}
 			})
 		}); err != nil {
@@ -564,10 +574,7 @@ func (g *GPUSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result,
 
 		// Host: queue drain point and exponential cooling (Algorithm 1).
 		dev.Synchronize()
-		temp *= cfg.Cooling
-		if cfg.TMin > 0 && temp < cfg.TMin {
-			temp = cfg.TMin
-		}
+		temp = cfg.Cool(temp)
 	}
 	if interrupted {
 		// Fold the per-thread bests accumulated so far (the atomic min is
@@ -616,25 +623,4 @@ func (pl *pipeline) winner(packedBuf *cudasim.Buffer[int64], bestSeqBuf *cudasim
 		seq[i] = int(v)
 	}
 	return seq, cost
-}
-
-// drawPositions samples k distinct positions in [0,n) into dst using
-// Floyd's algorithm.
-func drawPositions(rng *xrand.XORWOW, dst []int, n, k int) []int {
-	for j := n - k; j < n; j++ {
-		t := rng.Intn(j + 1)
-		found := false
-		for _, p := range dst {
-			if p == t {
-				found = true
-				break
-			}
-		}
-		if found {
-			dst = append(dst, j)
-		} else {
-			dst = append(dst, t)
-		}
-	}
-	return dst
 }

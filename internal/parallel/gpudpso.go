@@ -112,19 +112,13 @@ func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 	gbestBuf := cudasim.NewBuffer[int32](dev, n)
 	packedBuf := cudasim.NewBufferFrom(dev, []int64{math.MaxInt64})
 
-	// Host-side per-thread operator scratch (local memory of the update
-	// kernel: crossover buffers and the used-markers of the order
-	// crossovers).
+	// Per-thread local memory of the update kernel: the order
+	// crossovers' used-markers and one scratch row.
 	ops := make([]*perm.Ops, N)
-	buf1 := make([][]int, N)
-	buf2 := make([][]int, N)
-	buf3 := make([][]int, N)
-	for t := 0; t < N; t++ {
+	for t := range ops {
 		ops[t] = perm.NewOps(n)
-		buf1[t] = make([]int, n)
-		buf2[t] = make([]int, n)
-		buf3[t] = make([]int, n)
 	}
+	scratch := make([]int32, N*n)
 
 	col := obs.NewCollector(g.Metrics)
 	var evalCount int64
@@ -180,7 +174,6 @@ func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 		if err := gpuPhased(col, dev, obs.PhaseUpdate, func() error {
 			return dev.Launch(pl.launchCfg("update"), func(c *cudasim.Ctx) {
 				tid := c.GlobalThreadID()
-				rng := pl.rngs[tid]
 				pos := posBuf.Raw()[tid*n : (tid+1)*n]
 				pbest := pbestBuf.Raw()[tid*n : (tid+1)*n]
 				// Asynchronous (paper) mode: no cross-thread state — g(t)
@@ -190,47 +183,12 @@ func (g *GPUDPSO) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 					gbest = gbestBuf.Raw()
 				}
 				c.ChargeGlobal(3*n, true)
-
-				// λ = w ⊕ F1(pos): swap. a/b ping-pong so crossover source and
-				// destination never alias.
-				a, b := buf1[tid], buf2[tid]
-				cur := a
-				for i, v := range pos {
-					cur[i] = int(v)
-				}
-				if rng.Float64() < cfg.W {
-					perm.Swap(rng, cur)
-				}
-				// δ = c1 ⊕ F2(λ, pbest): one-point crossover.
-				if rng.Float64() < cfg.C1 {
-					pb := buf3[tid]
-					for i, v := range pbest {
-						pb[i] = int(v)
-					}
-					ops[tid].OnePoint(rng, b, cur, pb)
-					cur = b
-				}
-				// pos' = c2 ⊕ F3(δ, gbest): two-point crossover.
-				if rng.Float64() < cfg.C2 {
-					gb := buf3[tid]
-					for i, v := range gbest {
-						gb[i] = int(v)
-					}
-					dst := a
-					if len(cur) > 0 && &cur[0] == &a[0] {
-						dst = b
-					}
-					ops[tid].TwoPoint(rng, dst, cur, gb)
-					cur = dst
-				}
-				for i, v := range cur {
-					pos[i] = int32(v)
-				}
+				dpso.Move(cfg, pl.rngs[tid], ops[tid], pos, pbest, gbest, scratch[tid*n:(tid+1)*n])
 				c.ChargeGlobal(n, true)
 				// Each order crossover is ~3 passes over the sequence (copy
 				// the donor segment, scan the other parent, maintain the
 				// used-markers in local memory), plus the swap and the final
-				// write-back conversion — far heavier than SA's Pert-element
+				// write-back — far heavier than SA's Pert-element
 				// shuffle, which is why the paper's Figures 14/16 show DPSO
 				// consistently slower than SA at equal budgets.
 				c.ChargeArith(20 * n)

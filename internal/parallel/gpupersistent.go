@@ -131,32 +131,20 @@ func (g *PersistentGPUSA) Solve(ctx context.Context, inst *problem.Instance) (co
 					break
 				}
 				done++
-				pos = perturbStep(c, rng, cfg, it, pos, cur, cnd)
+				pos = perturbStep(c, rng, &cfg, it, pos, cur, cnd)
 				candCost := pl.fitnessStep(c, tid, cnd)
 				cc.FullEvaluations++
 
-				// Acceptance (as the accept kernel).
-				accept := candCost <= curCost
-				if !accept && temp > 0 {
-					accept = math.Exp(float64(curCost-candCost)/temp) >= rng.Float64()
-				}
-				c.ChargeArith(12)
-				if accept {
+				accepted, improved := acceptStep(c, rng, temp, curCost, candCost, bestCost, cur, cnd, bestSeqBuf.Raw()[tid*n:(tid+1)*n])
+				if accepted {
 					cc.Acceptances++
-					copy(cur, cnd)
 					curCost = candCost
-					c.ChargeGlobal(2*n, true)
-					if candCost < bestCost {
-						cc.Improvements++
-						bestCost = candCost
-						copy(bestSeqBuf.Raw()[tid*n:(tid+1)*n], cnd)
-						c.ChargeGlobal(2*n, true)
-					}
 				}
-				temp *= cfg.Cooling
-				if cfg.TMin > 0 && temp < cfg.TMin {
-					temp = cfg.TMin
+				if improved {
+					cc.Improvements++
+					bestCost = candCost
 				}
+				temp = cfg.Cool(temp)
 			}
 			itersDone.Add(int64(done))
 			col.AddChain(cc)

@@ -5,7 +5,13 @@
 // perturbation, acceptance, reduction) mapped onto the cudasim device.
 //
 // Every driver implements core.Solver, so the experiment harness treats
-// serial CPU, parallel CPU and simulated-GPU engines uniformly.
+// serial CPU, parallel CPU and simulated-GPU engines uniformly. The GPU
+// kernels run the CPU chains' step code (sa.Perturb, sa.Accept,
+// sa.Config.Cool and dpso.Move) and add only their device charges, so a
+// GPU engine and its CPU ensemble return the same answer for the same
+// seed and T₀ (TestCPUAndGPUEnginesAgree). The GPU SA engines ignore
+// sa.Config.Schedule and Neighborhood: they always run the paper's
+// shuffle perturbation with exponential cooling.
 package parallel
 
 import (
@@ -126,10 +132,14 @@ func (a *AsyncSA) Name() string {
 // and reduces to the best solution. Results are deterministic for a
 // fixed seed regardless of Parallel, because chain i always consumes RNG
 // stream i. Each chain scores its neighbours with the full O(n) pass of
-// core.NewEvaluator, as every SA engine does.
+// its own core.BatchEvaluator, as every SA engine does; the evaluators
+// share one SoA snapshot of the instance per solve.
 func (a *AsyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result, error) {
 	if inst == nil {
 		inst = a.Inst
+	}
+	if inst == nil {
+		return core.Result{}, errNoInstance
 	}
 	cfg := a.SA
 	if a.Budget.Iterations > 0 {
@@ -137,13 +147,14 @@ func (a *AsyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Resul
 	}
 	ctx, cancel := a.Budget.Apply(ctx)
 	defer cancel()
+	soa := core.NewSoAInstance(inst)
 	return a.Ens.Run(ctx, inst, RunSpec{
 		Parallel:   a.Parallel,
 		Iterations: cfg.Iterations,
 		Progress:   a.Progress,
 		Collector:  obs.NewCollector(a.Metrics),
 		NewChain: func(i int, rng *xrand.XORWOW) Chain {
-			return sa.NewChain(cfg, core.NewEvaluator(inst), rng)
+			return sa.NewChain(cfg, core.NewBatchEvaluatorSoA(inst, soa), rng)
 		},
 	})
 }
@@ -207,10 +218,11 @@ func (s *SyncSA) Solve(ctx context.Context, inst *problem.Instance) (core.Result
 	start := time.Now()
 
 	col := obs.NewCollector(s.Metrics)
+	soa := core.NewSoAInstance(inst)
 	chains := make([]*sa.Chain, ens.Chains)
 	phased(col, obs.PhaseT0, func() {
 		runOverWorkers(ens.Chains, ens.Workers, s.Parallel, func(i int) {
-			chains[i] = sa.NewChain(s.SA, core.NewEvaluator(inst), xrand.NewStream(ens.Seed, uint64(i)))
+			chains[i] = sa.NewChain(s.SA, core.NewBatchEvaluatorSoA(inst, soa), xrand.NewStream(ens.Seed, uint64(i)))
 		})
 	})
 

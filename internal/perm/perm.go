@@ -35,8 +35,10 @@ func Random(r *xrand.XORWOW, n int) []int {
 // Swap exchanges two distinct random positions of seq in place. It is the
 // DPSO velocity operator F1. Sequences of length < 2 are left unchanged.
 // It returns the two touched positions so incremental evaluators can price
-// the move in O(1); for length < 2 both are 0 (nothing changed).
-func Swap(r Rand, seq []int) (i, j int) {
+// the move in O(1); for length < 2 both are 0 (nothing changed). Like the
+// crossovers it serves the host's []int rows and the simulated device's
+// []int32 rows.
+func Swap[S ~int | ~int32](r Rand, seq []S) (i, j int) {
 	n := len(seq)
 	if n < 2 {
 		return 0, 0
@@ -101,9 +103,10 @@ func ReverseSegment(r Rand, seq []int) (lo, hi int) {
 	return lo, hi
 }
 
-// Ops bundles scratch buffers so the compound operators run without
-// allocating in hot loops. An Ops value serves sequences of exactly the
-// length it was created for and is not safe for concurrent use.
+// Ops bundles scratch buffers so the compound operators (PartialShuffle
+// and the order crossovers) run without allocating in hot loops. An Ops
+// value serves sequences of exactly the length it was created for and is
+// not safe for concurrent use.
 type Ops struct {
 	n    int
 	idx  []int
@@ -160,19 +163,14 @@ func (o *Ops) PartialShuffle(r *xrand.XORWOW, seq []int, k int) []int {
 
 // OnePoint performs the one-point order crossover F2 of the DPSO: dst
 // receives a's prefix up to a random cut and the remaining jobs in the
-// order they appear in b. dst must not alias a or b.
-func (o *Ops) OnePoint(r Rand, dst, a, b []int) {
+// order they appear in b. dst must not alias a or b. o supplies the
+// used-markers.
+func OnePoint[S ~int | ~int32](o *Ops, r Rand, dst, a, b []S) {
 	n := len(a)
-	if n != o.n || len(b) != n || len(dst) != n {
-		panic("perm: sequence length differs from Ops size")
-	}
+	used := o.markers(n, len(b), len(dst))
 	cut := 0
 	if n > 0 {
 		cut = r.Intn(n + 1)
-	}
-	used := o.used
-	for i := range used {
-		used[i] = false
 	}
 	copy(dst[:cut], a[:cut])
 	for _, v := range a[:cut] {
@@ -189,12 +187,11 @@ func (o *Ops) OnePoint(r Rand, dst, a, b []int) {
 
 // TwoPoint performs the two-point order crossover F3 of the DPSO: dst
 // receives a's segment [c1,c2) in place and all other jobs in the order
-// they appear in b. dst must not alias a or b.
-func (o *Ops) TwoPoint(r Rand, dst, a, b []int) {
+// they appear in b. dst must not alias a or b. o supplies the
+// used-markers.
+func TwoPoint[S ~int | ~int32](o *Ops, r Rand, dst, a, b []S) {
 	n := len(a)
-	if n != o.n || len(b) != n || len(dst) != n {
-		panic("perm: sequence length differs from Ops size")
-	}
+	used := o.markers(n, len(b), len(dst))
 	if n == 0 {
 		return
 	}
@@ -202,10 +199,6 @@ func (o *Ops) TwoPoint(r Rand, dst, a, b []int) {
 	c2 := r.Intn(n + 1)
 	if c1 > c2 {
 		c1, c2 = c2, c1
-	}
-	used := o.used
-	for i := range used {
-		used[i] = false
 	}
 	copy(dst[c1:c2], a[c1:c2])
 	for _, v := range a[c1:c2] {
@@ -222,6 +215,16 @@ func (o *Ops) TwoPoint(r Rand, dst, a, b []int) {
 		dst[w] = v
 		w++
 	}
+}
+
+// markers checks that a crossover's three sequences have the Ops length
+// and returns the used-markers, cleared.
+func (o *Ops) markers(a, b, dst int) []bool {
+	if a != o.n || b != o.n || dst != o.n {
+		panic("perm: sequence length differs from Ops size")
+	}
+	clear(o.used)
+	return o.used
 }
 
 // Distance returns the number of positions at which two sequences differ

@@ -65,7 +65,7 @@ func TestSwapTiny(t *testing.T) {
 	if seq[0] != 0 {
 		t.Error("swap corrupted singleton")
 	}
-	Swap(r, nil) // must not panic
+	Swap[int](r, nil) // must not panic
 }
 
 func TestInsertPreservesPermutation(t *testing.T) {
@@ -136,7 +136,7 @@ func TestOnePointCrossover(t *testing.T) {
 		o := NewOps(n)
 		a, b := Random(r, n), Random(r, n)
 		dst := make([]int, n)
-		o.OnePoint(r, dst, a, b)
+		OnePoint(o, r, dst, a, b)
 		if !problem.IsPermutation(dst) {
 			t.Fatalf("one-point produced non-permutation: a=%v b=%v dst=%v", a, b, dst)
 		}
@@ -150,7 +150,7 @@ func TestOnePointStructure(t *testing.T) {
 	a := []int{5, 4, 3, 2, 1, 0}
 	b := []int{0, 1, 2, 3, 4, 5}
 	dst := make([]int, 6)
-	o.OnePoint(fixedRand{3}, dst, a, b)
+	OnePoint(o, fixedRand{3}, dst, a, b)
 	want := []int{5, 4, 3, 0, 1, 2}
 	for i := range want {
 		if dst[i] != want[i] {
@@ -166,7 +166,7 @@ func TestTwoPointCrossover(t *testing.T) {
 		o := NewOps(n)
 		a, b := Random(r, n), Random(r, n)
 		dst := make([]int, n)
-		o.TwoPoint(r, dst, a, b)
+		TwoPoint(o, r, dst, a, b)
 		if !problem.IsPermutation(dst) {
 			t.Fatalf("two-point produced non-permutation: a=%v b=%v dst=%v", a, b, dst)
 		}
@@ -180,7 +180,7 @@ func TestTwoPointStructure(t *testing.T) {
 	a := []int{5, 4, 3, 2, 1, 0}
 	b := []int{0, 1, 2, 3, 4, 5}
 	dst := make([]int, 6)
-	o.TwoPoint(seqRand{[]int{2, 4}}, dst, a, b)
+	TwoPoint(o, seqRand{[]int{2, 4}}, dst, a, b)
 	// a[2:4] = {3,2} stays at positions 2..3; the rest of b's order
 	// (0,1,4,5) fills positions 0,1,4,5.
 	want := []int{0, 1, 3, 2, 4, 5}
@@ -201,11 +201,11 @@ func TestCrossoversQuick(t *testing.T) {
 		o := NewOps(n)
 		a := Random(r, n)
 		dst := make([]int, n)
-		o.OnePoint(r, dst, a, a)
+		OnePoint(o, r, dst, a, a)
 		if Distance(dst, a) != 0 {
 			return false
 		}
-		o.TwoPoint(r, dst, a, a)
+		TwoPoint(o, r, dst, a, a)
 		return Distance(dst, a) == 0
 	}
 	if err := quick.Check(property, cfg); err != nil {
@@ -275,6 +275,6 @@ func BenchmarkTwoPoint(b *testing.B) {
 	dst := make([]int, 1000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.TwoPoint(r, dst, a, bb)
+		TwoPoint(o, r, dst, a, bb)
 	}
 }

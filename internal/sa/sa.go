@@ -1,13 +1,17 @@
 // Package sa implements the Simulated Annealing core of the paper
 // (Algorithm 1): metropolis acceptance over job sequences, exponential
 // cooling with factor μ = 0.88, and the Fisher–Yates partial-shuffle
-// perturbation of size Pert = 4. A Chain is the unit that runs inside one
-// simulated CUDA thread (asynchronous ensemble) or one host goroutine; the
-// serial CPU solver is a single chain or a serially executed ensemble.
+// perturbation of size Pert = 4. A Chain is one annealing trajectory on
+// the host; the CPU ensembles run one per chain, serially or across
+// goroutines. Each step has one implementation that every SA engine runs:
+// Perturb, Accept and Config.Cool serve the host chains' []int rows and
+// the simulated-GPU kernels' []int32 rows alike (package parallel), so
+// the engines differ only in where they run and in the T₀ policy.
 package sa
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -51,13 +55,17 @@ type Config struct {
 	// denormal temperatures on very long runs; off by default).
 	TMin float64
 	// Schedule selects the cooling schedule (default Exponential, the
-	// paper's choice; see cooling.go for the alternatives).
+	// paper's choice; see cooling.go for the alternatives). Only the CPU
+	// chains (Chain) honour it: both simulated-GPU engines always cool
+	// exponentially (Cool).
 	Schedule Schedule
 	// ReheatPeriod and ReheatFactor configure the Reheating schedule.
 	ReheatPeriod int
 	ReheatFactor float64
 	// Neighborhood selects the move operator (default NeighborShuffle,
-	// the paper's Pert-subset Fisher–Yates perturbation).
+	// the paper's Pert-subset Fisher–Yates perturbation). Only the CPU
+	// chains (Chain) honour it: both simulated-GPU engines always run the
+	// paper's perturbation (Perturb).
 	Neighborhood NeighborOp
 }
 
@@ -104,6 +112,70 @@ func (c Config) Normalized(n int) Config {
 		c.TempSamples = d.TempSamples
 	}
 	return c
+}
+
+// Perturb is the paper's Pert perturbation, applied in place to seq on
+// iteration it: the Pert positions are re-drawn with Floyd's algorithm on
+// iteration 0 and every ReselectPeriod iterations after ("after every 10
+// SA iterations" in the paper; pos, the previous call's positions, is
+// kept in between), then the jobs at the positions are
+// Fisher–Yates-shuffled. It returns the positions, which the caller passes
+// back on the next call, and whether they were re-drawn. cfg must be
+// Normalized. The CPU chains and both simulated-GPU SA kernels perturb
+// with it, on the host's []int rows and the device's []int32 rows.
+func Perturb[S ~int | ~int32](rng *xrand.XORWOW, cfg *Config, it int, pos []int, seq []S) ([]int, bool) {
+	redraw := cfg.redraws(it, pos)
+	if redraw {
+		pos = pos[:0]
+		// Floyd's algorithm for a uniform Pert-subset without extra state.
+		for j := len(seq) - cfg.Pert; j < len(seq); j++ {
+			t := rng.Intn(j + 1)
+			if slices.Contains(pos, t) {
+				t = j
+			}
+			pos = append(pos, t)
+		}
+	}
+	for i := len(pos) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		a, b := pos[i], pos[j]
+		seq[a], seq[b] = seq[b], seq[a]
+	}
+	return pos, redraw
+}
+
+// redraws reports whether Perturb re-draws its positions on iteration it.
+func (c *Config) redraws(it int, pos []int) bool {
+	return it%c.ReselectPeriod == 0 || len(pos) == 0
+}
+
+// Accept is the metropolis criterion of Algorithm 1: a candidate of cost
+// cand replaces a current solution of cost cur when
+// exp((cur−cand)/temp) ≥ rand(0,1). Improvements and ties are accepted,
+// and at temp ≤ 0 worse candidates are rejected, without a draw from
+// rng. Every SA engine accepts with it.
+func Accept(rng *xrand.XORWOW, cur, cand int64, temp float64) bool {
+	if cand <= cur {
+		return true
+	}
+	if temp <= 0 {
+		return false
+	}
+	return math.Exp(float64(cur-cand)/temp) >= rng.Float64()
+}
+
+// Cool is the per-iteration temperature update of the paper's
+// exponential schedule: temp·Cooling, floored at TMin when TMin is
+// positive. Every SA engine cools with it (a CPU chain on another
+// Schedule keeps only the TMin floor).
+func (c *Config) Cool(temp float64) float64 { return c.floor(temp * c.Cooling) }
+
+// floor applies the TMin guard to a temperature.
+func (c *Config) floor(temp float64) float64 {
+	if c.TMin > 0 && temp < c.TMin {
+		return c.TMin
+	}
+	return temp
 }
 
 // Chain is one annealing trajectory. It owns all its scratch state, so
@@ -214,53 +286,15 @@ func (c *Chain) Neighbour() []int {
 	case NeighborReverse:
 		perm.ReverseSegment(c.rng, c.cand)
 	case NeighborMixed:
-		if c.iter%c.cfg.ReselectPeriod == 0 || len(c.pos) == 0 {
-			c.drawPositions()
-			c.shuffleAtPositions(c.cand)
+		if c.cfg.redraws(c.iter, c.pos) {
+			c.pos, _ = Perturb(c.rng, &c.cfg, c.iter, c.pos, c.cand)
 		} else {
 			perm.Swap(c.rng, c.cand)
 		}
 	default:
-		if c.iter%c.cfg.ReselectPeriod == 0 || len(c.pos) == 0 {
-			c.drawPositions()
-		}
-		c.shuffleAtPositions(c.cand)
+		c.pos, _ = Perturb(c.rng, &c.cfg, c.iter, c.pos, c.cand)
 	}
 	return c.cand
-}
-
-// drawPositions samples Pert distinct positions uniformly.
-func (c *Chain) drawPositions() {
-	n := len(c.cur)
-	k := c.cfg.Pert
-	c.pos = c.pos[:0]
-	// Floyd's algorithm for a uniform k-subset without extra state.
-	for j := n - k; j < n; j++ {
-		t := c.rng.Intn(j + 1)
-		found := false
-		for _, p := range c.pos {
-			if p == t {
-				found = true
-				break
-			}
-		}
-		if found {
-			c.pos = append(c.pos, j)
-		} else {
-			c.pos = append(c.pos, t)
-		}
-	}
-}
-
-// shuffleAtPositions Fisher–Yates-shuffles the jobs at the drawn
-// positions inside seq.
-func (c *Chain) shuffleAtPositions(seq []int) {
-	k := len(c.pos)
-	for i := k - 1; i > 0; i-- {
-		j := c.rng.Intn(i + 1)
-		a, b := c.pos[i], c.pos[j]
-		seq[a], seq[b] = seq[b], seq[a]
-	}
 }
 
 // Step performs one SA iteration: neighbour, evaluate, metropolis accept,
@@ -268,7 +302,7 @@ func (c *Chain) shuffleAtPositions(seq []int) {
 func (c *Chain) Step() int64 {
 	candCost := c.eval.Cost(c.Neighbour())
 	c.evals++
-	if c.accept(candCost) {
+	if Accept(c.rng, c.curCost, candCost, c.temp) {
 		c.cur, c.cand = c.cand, c.cur
 		c.curCost = candCost
 		c.accepts++
@@ -280,26 +314,11 @@ func (c *Chain) Step() int64 {
 	}
 	c.iter++
 	if c.cooler != nil {
-		c.temp = c.cooler.At(c.iter)
+		c.temp = c.cfg.floor(c.cooler.At(c.iter))
 	} else {
-		c.temp *= c.cfg.Cooling
-	}
-	if c.cfg.TMin > 0 && c.temp < c.cfg.TMin {
-		c.temp = c.cfg.TMin
+		c.temp = c.cfg.Cool(c.temp)
 	}
 	return candCost
-}
-
-// accept applies the metropolis criterion of Algorithm 1:
-// exp((E−E_new)/T) ≥ rand(0,1). Improvements are always accepted.
-func (c *Chain) accept(candCost int64) bool {
-	if candCost <= c.curCost {
-		return true
-	}
-	if c.temp <= 0 {
-		return false
-	}
-	return math.Exp(float64(c.curCost-candCost)/c.temp) >= c.rng.Float64()
 }
 
 // Run executes the configured number of iterations and returns the best
